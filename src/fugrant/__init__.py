@@ -3,125 +3,27 @@
 Hidden On-Off Markov event sources drive device activations; a forward
 algorithm tracks the joint event state from censored observations; grant
 policies are compared on regret, system usage, and age of information.
+
+The package exports the Monte-Carlo API the README documents; the model,
+belief filter, policies and metrics are imported from their modules.
 """
 
-from .belief import (
-    MAX_PROCESSES,
-    OBSERVED_ACTIVE,
-    OBSERVED_SILENT,
-    UNOBSERVED,
-    BeliefState,
-    CapacityError,
-    EvidenceContradictionError,
-    device_forecast,
-    entropy,
-    forward_update,
-    init_belief,
-    most_likely_pattern,
-    most_likely_state,
-    unnormalized_joint,
-)
-from .engine import (
-    SERIES,
-    AggregateResult,
-    EpisodeResult,
-    StepTrace,
-    run_episode,
-    run_monte_carlo,
-)
-from .metrics import (
-    MetricsAccumulator,
-    SlotReport,
-    average_age,
-    average_usage,
-    device_ages,
-    peak_age,
-    ra_report,
-    slot_report,
-)
-from .model import (
-    ConfigurationError,
-    DegenerateChainError,
-    ScenarioConfig,
-    ScenarioTemplate,
-    activation_prob_given_state,
-    activation_probs,
-    predict_activation_prob,
-    predict_activation_probs,
-    rng_stream,
-    sample_activations,
-    sample_scenario,
-    state_bits,
-    state_index,
-    stationary_on_prob,
-    stationary_on_probs,
-    step_processes,
-)
-from .policies import (
-    POLICIES,
-    RaOutcome,
-    fu_grant,
-    genie_grant,
-    observe_feedback,
-    observe_limited,
-    ra_attempt,
-    tdd_grant,
-)
+from .engine import SERIES, AggregateResult, EpisodeResult, run_episode, run_monte_carlo
+from .model import ConfigurationError, ScenarioConfig, ScenarioTemplate, rng_stream
+from .policies import POLICIES
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_PROCESSES",
-    "OBSERVED_ACTIVE",
-    "OBSERVED_SILENT",
-    "UNOBSERVED",
-    "BeliefState",
-    "CapacityError",
-    "EvidenceContradictionError",
-    "device_forecast",
-    "entropy",
-    "forward_update",
-    "init_belief",
-    "most_likely_pattern",
-    "most_likely_state",
-    "unnormalized_joint",
     "SERIES",
     "AggregateResult",
     "EpisodeResult",
-    "StepTrace",
     "run_episode",
     "run_monte_carlo",
-    "MetricsAccumulator",
-    "SlotReport",
-    "average_age",
-    "average_usage",
-    "device_ages",
-    "peak_age",
-    "ra_report",
-    "slot_report",
     "ConfigurationError",
-    "DegenerateChainError",
     "ScenarioConfig",
     "ScenarioTemplate",
-    "activation_prob_given_state",
-    "activation_probs",
-    "predict_activation_prob",
-    "predict_activation_probs",
     "rng_stream",
-    "sample_activations",
-    "sample_scenario",
-    "state_bits",
-    "state_index",
-    "stationary_on_prob",
-    "stationary_on_probs",
-    "step_processes",
     "POLICIES",
-    "RaOutcome",
-    "fu_grant",
-    "genie_grant",
-    "observe_feedback",
-    "observe_limited",
-    "ra_attempt",
-    "tdd_grant",
     "__version__",
 ]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .model import (
     ScenarioConfig,
-    activation_probs,
     predict_activation_probs,
     state_bits,
     stationary_on_probs,
@@ -85,9 +84,7 @@ def init_belief(config: ScenarioConfig) -> BeliefState:
             f"limit of {MAX_PROCESSES}"
         )
     pi = stationary_on_probs(config)
-    w = np.ones(1)
-    for p in pi:
-        w = np.concatenate((w * (1.0 - p), w * p))
+    w = _state_products(1.0 - pi, pi)
     return BeliefState(w / w.sum(), 0.0)
 
 
@@ -123,13 +120,15 @@ def _predict(weights: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     return w.reshape(-1)
 
 
-def _state_product_table(off_factors: np.ndarray, on_factors: np.ndarray) -> np.ndarray:
-    """Per-state products over processes; bit n of the row index picks
-    off_factors[n] or on_factors[n]. Both inputs have shape (N, K)."""
-    table = np.ones((1, off_factors.shape[1]))
-    for off, on in zip(off_factors, on_factors):
-        table = np.concatenate((table * off, table * on))
-    return table
+def _state_products(off: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per-state products over processes, the Kronecker product of the
+    per-process factor pairs: entry s multiplies off[n] or on[n] as bit n of
+    s is 0 or 1. Factors of shape (N,) give (2^N,), of shape (N, K) give
+    (2^N, K)."""
+    out = np.ones((1,) + off.shape[1:])
+    for f_off, f_on in zip(off, on):
+        out = np.concatenate((out * f_off, out * f_on))
+    return out
 
 
 def _activation_table(config: ScenarioConfig) -> np.ndarray | None:
@@ -139,7 +138,16 @@ def _activation_table(config: ScenarioConfig) -> np.ndarray | None:
     ones = np.ones_like(config.q)
     return config.cached(
         "belief.activation_table",
-        lambda: 1.0 - _state_product_table(ones, 1.0 - config.q),
+        lambda: 1.0 - _state_products(ones, 1.0 - config.q),
+    )
+
+
+def _prediction_factors(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K) factors of P(device silent next slot | state): process n
+    contributes the first when Off now, the second when On now."""
+    return (
+        1.0 - config.eps1[:, None] * config.q,
+        1.0 - (1.0 - config.eps0[:, None]) * config.q,
     )
 
 
@@ -149,31 +157,8 @@ def _prediction_table(config: ScenarioConfig) -> np.ndarray | None:
         return None
     return config.cached(
         "belief.prediction_table",
-        lambda: 1.0 - _state_product_table(
-            1.0 - config.eps1[:, None] * config.q,
-            1.0 - (1.0 - config.eps0[:, None]) * config.q,
-        ),
+        lambda: 1.0 - _state_products(*_prediction_factors(config)),
     )
-
-
-def _silent_prob_vector(config: ScenarioConfig, k: int) -> np.ndarray:
-    """P(device k silent | state) for every state, without the full table."""
-    v = np.ones(1)
-    for f in 1.0 - config.q[:, k]:
-        v = np.concatenate((v, v * f))
-    return v
-
-
-def emission_likelihood(state_index: int, obs: np.ndarray, config: ScenarioConfig) -> float:
-    """Probability of the observed evidence given one joint state.
-
-    Observed-active devices contribute their activation probability,
-    observed-silent ones the complement, unobserved ones a factor of 1.
-    """
-    p = activation_probs(state_bits(state_index, config.n_processes), config)
-    active = obs == OBSERVED_ACTIVE
-    silent = obs == OBSERVED_SILENT
-    return float(np.prod(p[active]) * np.prod(1.0 - p[silent]))
 
 
 def _emission_vector(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
@@ -190,11 +175,12 @@ def _emission_vector(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | No
         if silent.size:
             e *= (1.0 - table[:, silent]).prod(axis=1)
         return e
+    ones = np.ones(config.n_processes)
     e = np.ones(config.n_states)
     for k in silent:
-        e *= _silent_prob_vector(config, k)
+        e *= _state_products(ones, 1.0 - config.q[:, k])
     for k in active:
-        e *= 1.0 - _silent_prob_vector(config, k)
+        e *= 1.0 - _state_products(ones, 1.0 - config.q[:, k])
     return e
 
 
@@ -257,13 +243,9 @@ def device_forecast(
         table = _prediction_table(config)
         if table is not None:
             return belief.weights @ table
-        off = 1.0 - config.eps1[:, None] * config.q
-        on = 1.0 - (1.0 - config.eps0[:, None]) * config.q
+        off, on = _prediction_factors(config)
         out = np.empty(config.n_devices)
         for k in range(config.n_devices):
-            v = np.ones(1)
-            for fo, fn in zip(off[:, k], on[:, k]):
-                v = np.concatenate((v * fo, v * fn))
-            out[k] = 1.0 - belief.weights @ v
+            out[k] = 1.0 - belief.weights @ _state_products(off[:, k], on[:, k])
         return out
     raise ValueError(f"unknown forecast mode {mode!r}; expected 'map_state' or 'marginal'")

@@ -116,20 +116,8 @@ def _load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(payload)
 
 
-def _parse_policies(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not names:
-        raise ConfigurationError("policy list is empty")
-    for name in names:
-        if name not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {name!r}; valid policies: {', '.join(POLICIES)}"
-            )
-    return names
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    policies = _parse_policies(args.policies)
+    policies = [name for name in map(str.strip, args.policies.split(",")) if name]
     if args.config is not None:
         scenario: ScenarioConfig | ScenarioTemplate = _load_config(args.config)
         master_seed = args.seed if args.seed is not None else scenario.seed
@@ -163,6 +151,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    for flag in ("max_n", "max_k", "max_t", "instances"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigurationError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     if args.max_n > 4:
         raise ConfigurationError(
             f"max_n = {args.max_n} exceeds 4; path enumeration is exponential"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .metrics import (
     slot_report,
 )
 from .model import (
+    ConfigurationError,
     ScenarioConfig,
     ScenarioTemplate,
     rng_stream,
@@ -57,18 +58,6 @@ SERIES = ("regret_slot", "regret_cum", "usage_avg", "aoi_avg", "aoi_peak")
 
 
 @dataclass
-class StepTrace:
-    """Debug snapshot of one slot (only recorded when a trace list is given)."""
-
-    t: int
-    state: np.ndarray
-    activations: np.ndarray
-    grants: dict[str, np.ndarray]
-    observations: dict[str, np.ndarray]
-    beliefs: dict[str, BeliefState]
-
-
-@dataclass
 class EpisodeResult:
     """Per-slot metric series for every policy on one shared trajectory."""
 
@@ -79,7 +68,7 @@ class EpisodeResult:
     seed: int
     policies: tuple[str, ...]
     series: dict[str, dict[str, np.ndarray]]
-    trajectory_fingerprint: dict[str, str] = field(default_factory=dict)
+    trajectory_fingerprint: str  # SHA-256 of the per-slot states and activity
 
 
 @dataclass
@@ -94,12 +83,13 @@ class AggregateResult:
 
 
 def _normalize_policies(policies) -> tuple[str, ...]:
+    """Validate policy names; the single check behind the API and the CLI."""
     requested = tuple(policies)
     if not requested:
-        raise ValueError("policy set must not be empty")
+        raise ConfigurationError("policy set must not be empty")
     for name in requested:
         if name not in POLICIES:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown policy {name!r}; valid policies: {', '.join(POLICIES)}"
             )
     # Canonical order keeps output layout and rng usage independent of the
@@ -113,7 +103,6 @@ def run_episode(
     rng: np.random.Generator,
     *,
     belief_mode: str = "map_state",
-    trace: list[StepTrace] | None = None,
 ) -> EpisodeResult:
     """Simulate one episode with every policy on the same trajectory.
 
@@ -132,7 +121,7 @@ def run_episode(
     }
     accs = {p: MetricsAccumulator(n_devices=k, n_slots=l) for p in policies}
     series = {p: {s: np.zeros(horizon) for s in SERIES} for p in policies}
-    hashers = {p: hashlib.sha256() for p in policies}
+    hasher = hashlib.sha256()
 
     for t in range(1, horizon + 1):
         # Decide grants from information available through slot t-1.
@@ -153,7 +142,7 @@ def run_episode(
         activations = sample_activations(state, config, truth_rng)
         outcome = ra_attempt(activations, l, ra_rng) if "ra" in accs else None
 
-        step_digest = state.tobytes() + activations.tobytes()
+        hasher.update(state.tobytes() + activations.tobytes())
         col = t - 1
         for p in policies:
             report = (
@@ -168,7 +157,6 @@ def run_episode(
             series[p]["usage_avg"][col] = average_usage(acc)
             series[p]["aoi_avg"][col] = average_age(acc, t)
             series[p]["aoi_peak"][col] = peak_age(acc, t)
-            hashers[p].update(step_digest)
 
         observations: dict[str, np.ndarray] = {}
         if "fu_limited" in beliefs:
@@ -186,21 +174,6 @@ def run_episode(
                 )
                 beliefs[p] = init_belief(config)
 
-        if trace is not None:
-            trace.append(
-                StepTrace(
-                    t=t,
-                    state=state.copy(),
-                    activations=activations.copy(),
-                    grants={p: g.copy() for p, g in grants.items()},
-                    observations={p: o.copy() for p, o in observations.items()},
-                    beliefs={
-                        p: BeliefState(b.weights.copy(), b.log_scale)
-                        for p, b in beliefs.items()
-                    },
-                )
-            )
-
     return EpisodeResult(
         n_processes=n,
         n_devices=k,
@@ -209,7 +182,7 @@ def run_episode(
         seed=config.seed,
         policies=policies,
         series=series,
-        trajectory_fingerprint={p: h.hexdigest() for p, h in hashers.items()},
+        trajectory_fingerprint=hasher.hexdigest(),
     )
 
 
@@ -231,7 +204,9 @@ def run_monte_carlo(
     aggregate is byte-identical regardless of how the loop is executed.
     """
     if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    if not 0 <= master_seed < 2**64:
+        raise ConfigurationError(f"seed must be in [0, 2^64), got {master_seed}")
     policies = _normalize_policies(policies)
 
     base: ScenarioConfig | None = None

@@ -94,13 +94,8 @@ class MetricsAccumulator:
         """Fold in the next slot's report."""
         self.t += 1
         self.cum_regret += report.regret
-        update_usage(self, report)
-        update_aoi(self, report, self.t)
-
-
-def update_usage(acc: MetricsAccumulator, report: SlotReport) -> MetricsAccumulator:
-    acc.cum_used_slots += acc.n_slots - report.wrong
-    return acc
+        self.cum_used_slots += self.n_slots - report.wrong
+        self.last_served[report.served == 1] = self.t
 
 
 def average_usage(acc: MetricsAccumulator) -> float:
@@ -108,11 +103,6 @@ def average_usage(acc: MetricsAccumulator) -> float:
     if acc.t == 0:
         return 1.0
     return acc.cum_used_slots / (acc.t * acc.n_slots)
-
-
-def update_aoi(acc: MetricsAccumulator, report: SlotReport, t: int) -> MetricsAccumulator:
-    acc.last_served[report.served == 1] = t
-    return acc
 
 
 def device_ages(acc: MetricsAccumulator, t: int) -> np.ndarray:

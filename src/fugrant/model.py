@@ -51,7 +51,7 @@ def _check_unit_interval(name: str, arr: np.ndarray) -> None:
 _CONFIG_KEYS = ("n_processes", "n_devices", "n_slots", "horizon", "seed", "eps0", "eps1", "q")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ScenarioConfig:
     """Full problem instance.
 
@@ -65,6 +65,10 @@ class ScenarioConfig:
             that process n, while On, activates device k in a slot.
         horizon: number of simulated time slots (T).
         seed: 64-bit master seed recorded with the instance.
+
+    Instances are immutable, so derived tables memoized by `cached` cannot
+    go stale: attributes cannot be rebound, and the arrays are read-only
+    copies of the ones passed in.
     """
 
     n_processes: int
@@ -82,21 +86,25 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-            setattr(self, name, int(value))
+            object.__setattr__(self, name, int(value))
         if self.n_slots > self.n_devices:
             raise ConfigurationError(
                 f"n_slots = {self.n_slots} exceeds n_devices = {self.n_devices}"
             )
         if not isinstance(self.horizon, (int, np.integer)) or isinstance(self.horizon, bool) or self.horizon < 0:
             raise ConfigurationError(f"horizon must be an integer >= 0, got {self.horizon!r}")
-        self.horizon = int(self.horizon)
+        object.__setattr__(self, "horizon", int(self.horizon))
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        self.seed = int(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
 
-        for name, expected in (("eps0", (self.n_processes,)), ("eps1", (self.n_processes,))):
+        for name, expected in (
+            ("eps0", (self.n_processes,)),
+            ("eps1", (self.n_processes,)),
+            ("q", (self.n_processes, self.n_devices)),
+        ):
             try:
-                arr = np.asarray(getattr(self, name), dtype=np.float64)
+                arr = np.array(getattr(self, name), dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{name} must be a numeric array: {exc}") from exc
             if arr.shape != expected:
@@ -104,24 +112,15 @@ class ScenarioConfig:
                     f"{name} must have shape {expected}, got {arr.shape}"
                 )
             _check_unit_interval(name, arr)
-            setattr(self, name, arr)
-        try:
-            q = np.asarray(self.q, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"q must be a numeric matrix: {exc}") from exc
-        if q.shape != (self.n_processes, self.n_devices):
-            raise ConfigurationError(
-                f"q must have shape ({self.n_processes}, {self.n_devices}), got {q.shape}"
-            )
-        _check_unit_interval("q", q)
-        self.q = q
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_states(self) -> int:
         return 1 << self.n_processes
 
     def cached(self, key: str, build):
-        """Memoize a derived value (the instance is treated as immutable)."""
+        """Memoize a derived value of this (immutable) instance."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -247,20 +246,15 @@ def state_bits(index: int, n_processes: int) -> np.ndarray:
     return ((int(index) >> np.arange(n_processes)) & 1).astype(np.uint8)
 
 
-def stationary_on_prob(config: ScenarioConfig, n: int) -> float:
-    """Long-run probability that process n is On: eps1 / (eps0 + eps1)."""
-    if not 0 <= n < config.n_processes:
-        raise IndexError(f"process index {n} out of range [0, {config.n_processes})")
-    denom = config.eps0[n] + config.eps1[n]
-    if denom == 0.0:
-        raise DegenerateChainError(
-            f"process {n} has eps0 = eps1 = 0; its stationary distribution is undefined"
-        )
-    return float(config.eps1[n] / denom)
-
-
 def stationary_on_probs(config: ScenarioConfig) -> np.ndarray:
-    return np.array([stationary_on_prob(config, n) for n in range(config.n_processes)])
+    """Long-run probability that each process is On: eps1 / (eps0 + eps1)."""
+    denom = config.eps0 + config.eps1
+    stuck = np.flatnonzero(denom == 0.0)
+    if stuck.size:
+        raise DegenerateChainError(
+            f"process {stuck[0]} has eps0 = eps1 = 0; its stationary distribution is undefined"
+        )
+    return config.eps1 / denom
 
 
 def step_processes(
@@ -278,12 +272,6 @@ def activation_probs(state: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """P(device k active | current process states), for all k at once."""
     silent = np.prod(1.0 - config.q[state.astype(bool)], axis=0)
     return 1.0 - silent
-
-
-def activation_prob_given_state(state: np.ndarray, k: int, config: ScenarioConfig) -> float:
-    if not 0 <= k < config.n_devices:
-        raise IndexError(f"device index {k} out of range [0, {config.n_devices})")
-    return float(1.0 - np.prod(1.0 - config.q[state.astype(bool), k]))
 
 
 def sample_activations(
@@ -305,10 +293,3 @@ def predict_activation_probs(state: np.ndarray, config: ScenarioConfig) -> np.nd
     """
     p_on_next = np.where(state.astype(bool), 1.0 - config.eps0, config.eps1)
     return 1.0 - np.prod(1.0 - p_on_next[:, None] * config.q, axis=0)
-
-
-def predict_activation_prob(state: np.ndarray, k: int, config: ScenarioConfig) -> float:
-    if not 0 <= k < config.n_devices:
-        raise IndexError(f"device index {k} out of range [0, {config.n_devices})")
-    p_on_next = np.where(state.astype(bool), 1.0 - config.eps0, config.eps1)
-    return float(1.0 - np.prod(1.0 - p_on_next * config.q[:, k]))

@@ -17,14 +17,13 @@ from . import belief as belief_mod
 from .belief import OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED
 from .model import (
     ScenarioConfig,
-    activation_prob_given_state,
     activation_probs,
-    predict_activation_prob,
+    predict_activation_probs,
     rng_stream,
     sample_activations,
     sample_scenario,
     state_bits,
-    stationary_on_prob,
+    stationary_on_probs,
     step_processes,
 )
 
@@ -58,7 +57,7 @@ def stationary_joint(config: ScenarioConfig) -> np.ndarray:
     """Stationary distribution over joint states, one state at a time."""
     n_states = config.n_states
     w = np.empty(n_states)
-    pi = [stationary_on_prob(config, n) for n in range(config.n_processes)]
+    pi = stationary_on_probs(config)
     for s in range(n_states):
         bits = state_bits(s, config.n_processes)
         p = 1.0
@@ -122,7 +121,7 @@ def predicted_activation_by_enumeration(
             p *= _bit_transition_prob(
                 int(state[n]), int(nb[n]), float(config.eps0[n]), float(config.eps1[n])
             )
-        total += p * activation_prob_given_state(nb, k, config)
+        total += p * activation_probs(nb, config)[k]
     return total
 
 
@@ -140,8 +139,7 @@ def random_filtering_instance(
     k = int(rng.integers(1, max_k + 1))
     steps = int(rng.integers(1, max_t + 1))
     config = sample_scenario(n, k, max(1, k // 2), steps, 0.5, rng, seed=seed)
-    pi = np.array([stationary_on_prob(config, i) for i in range(n)])
-    state = (rng.random(n) < pi).astype(np.uint8)
+    state = (rng.random(n) < stationary_on_probs(config)).astype(np.uint8)
     observations = []
     for _ in range(steps):
         state = step_processes(state, config, rng)
@@ -168,15 +166,16 @@ def forward_filter_deviation(
 
 
 def predictor_deviation(seed: int, max_n: int = 6) -> float:
-    """Gap between the closed-form one-step predictor and next-state
-    enumeration on one random (scenario, state, device) triple."""
+    """Gap between the one-step predictor the policies run
+    (`predict_activation_probs`) and next-state enumeration on one random
+    (scenario, state, device) triple."""
     rng = rng_stream(seed, 0, "oracle-predictor")
     n = int(rng.integers(1, max_n + 1))
     k_count = int(rng.integers(1, 5))
     config = sample_scenario(n, k_count, 1, 1, 1.0, rng, seed=seed)
     state = rng.integers(0, 2, size=n).astype(np.uint8)
     k = int(rng.integers(0, k_count))
-    closed = predict_activation_prob(state, k, config)
+    closed = predict_activation_probs(state, config)[k]
     brute = predicted_activation_by_enumeration(state, k, config)
     return abs(closed - brute)
 

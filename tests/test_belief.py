@@ -16,7 +16,6 @@ from fugrant.belief import (
     _predict,
     _prediction_table,
     device_forecast,
-    emission_likelihood,
     entropy,
     forward_update,
     init_belief,
@@ -25,6 +24,7 @@ from fugrant.belief import (
     unnormalized_joint,
 )
 from fugrant.model import (
+    ScenarioConfig,
     activation_probs,
     predict_activation_probs,
     sample_activations,
@@ -34,7 +34,11 @@ from fugrant.model import (
     stationary_on_probs,
     step_processes,
 )
-from fugrant.oracle import dense_transition_matrix
+from fugrant.oracle import (
+    dense_transition_matrix,
+    forward_filter_deviation,
+    predicted_activation_by_enumeration,
+)
 from fugrant.policies import observe_feedback, observe_limited
 
 
@@ -103,6 +107,7 @@ class TestEmission:
         rng = np.random.default_rng(4)
         for _ in range(20):
             obs = rng.integers(-1, 2, size=cfg.n_devices).astype(np.int8)
+            emission = _emission_vector(obs, cfg)
             for idx in range(cfg.n_states):
                 state = state_bits(idx, cfg.n_processes)
                 probs = activation_probs(state, cfg)
@@ -112,18 +117,7 @@ class TestEmission:
                         expected *= probs[k]
                     elif obs[k] == OBSERVED_SILENT:
                         expected *= 1.0 - probs[k]
-                assert emission_likelihood(idx, obs, cfg) == pytest.approx(
-                    expected, abs=1e-12
-                )
-
-    def test_vector_matches_scalar(self):
-        cfg = make_scenario(n=3, k=5, seed=2)
-        obs = np.array([1, 0, -1, 1, -1], dtype=np.int8)
-        vec = _emission_vector(obs, cfg)
-        expected = [
-            emission_likelihood(i, obs, cfg) for i in range(cfg.n_states)
-        ]
-        np.testing.assert_allclose(vec, expected, atol=1e-12)
+                assert emission[idx] == pytest.approx(expected, abs=1e-12)
 
     def test_no_evidence_returns_none(self):
         cfg = make_scenario()
@@ -267,6 +261,44 @@ class TestDeviceForecast:
         cfg = make_scenario()
         with pytest.raises(ValueError, match="forecast mode"):
             device_forecast(init_belief(cfg), cfg, "bogus")
+
+
+class TestEdgeValues:
+    """Probabilities of exactly 0 and 1, which validation accepts."""
+
+    def edge_config(self):
+        # process 0 never turns Off, process 1 never turns On
+        return ScenarioConfig(
+            n_processes=3,
+            n_devices=4,
+            n_slots=2,
+            horizon=6,
+            eps0=[0.0, 0.3, 0.2],
+            eps1=[0.4, 0.0, 0.5],
+            q=[[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, 0.3, 0.0], [0.5, 0.2, 0.0, 1.0]],
+        )
+
+    def test_filter_matches_path_enumeration(self):
+        cfg = self.edge_config()
+        rng = np.random.default_rng(12)
+        state = (rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
+        observations = []
+        for _ in range(cfg.horizon):
+            state = step_processes(state, cfg, rng)
+            obs = sample_activations(state, cfg, rng).astype(np.int8)
+            obs[rng.random(cfg.n_devices) < 0.5] = UNOBSERVED
+            observations.append(obs)
+        assert forward_filter_deviation(cfg, observations) <= 1e-9
+
+    def test_predictor_matches_next_state_enumeration(self):
+        cfg = self.edge_config()
+        for idx in range(cfg.n_states):
+            state = state_bits(idx, cfg.n_processes)
+            closed = predict_activation_probs(state, cfg)
+            for k in range(cfg.n_devices):
+                assert abs(
+                    closed[k] - predicted_activation_by_enumeration(state, k, cfg)
+                ) <= 1e-12
 
 
 class TestEntropy:

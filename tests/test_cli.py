@@ -174,6 +174,17 @@ class TestRun:
         for name in ("ra", "tdd", "fu_limited", "fu_feedback", "genie"):
             assert name in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--runs", "0"), ("--seed", "-1"), ("--seed", str(1 << 64))]
+    )
+    def test_bad_runs_or_seed_names_flag(self, config_path, flag, value, tmp_path, capsys):
+        code = run_cli(
+            "run", "--config", config_path, flag, value, "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_config_names_key(self, tmp_path, capsys):
         payload = json.loads((ScenarioConfig(
             n_processes=1,
@@ -259,6 +270,13 @@ class TestOracle:
     def test_max_n_guard(self, capsys):
         assert run_cli("oracle", "--max-n", "10") != 0
         assert "max_n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--instances", "--max-n", "--max-k", "--max-t"])
+    def test_sizes_below_one_rejected(self, flag, capsys):
+        assert run_cli("oracle", flag, "0") == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "deviation" not in captured.out
 
 
 def run_declared_entry_point(*argv):

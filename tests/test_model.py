@@ -1,5 +1,6 @@
 """Scenario configuration, state encoding, and generative-model tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,16 +11,13 @@ from fugrant.model import (
     DegenerateChainError,
     ScenarioConfig,
     ScenarioTemplate,
-    activation_prob_given_state,
     activation_probs,
-    predict_activation_prob,
     predict_activation_probs,
     rng_stream,
     sample_activations,
     sample_scenario,
     state_bits,
     state_index,
-    stationary_on_prob,
     stationary_on_probs,
     step_processes,
 )
@@ -125,6 +123,22 @@ class TestScenarioConfig:
         assert built == [1]
         assert "x" not in cfg.replace(horizon=6)._cache
 
+    def test_arrays_are_read_only_copies(self):
+        q = np.array([[0.5, 0.6, 0.7], [0.2, 0.3, 0.4]])
+        cfg = make_config(q=q)
+        q[0, 0] = 0.9  # the caller's array stays writable and detached
+        assert cfg.q[0, 0] == 0.5
+        for name in ("eps0", "eps1", "q"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 0.0
+
+    def test_attributes_cannot_be_rebound(self):
+        cfg = make_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.q = np.zeros((2, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon = 6
+
 
 class TestStateEncoding:
     def test_roundtrip_all_states(self):
@@ -140,15 +154,14 @@ class TestStateEncoding:
 class TestStationary:
     def test_closed_form(self):
         cfg = make_config()
-        assert stationary_on_prob(cfg, 0) == pytest.approx(0.3 / 0.4)
         np.testing.assert_allclose(
             stationary_on_probs(cfg), [0.3 / 0.4, 0.4 / 0.6]
         )
 
     def test_degenerate_chain_raises(self):
-        cfg = make_config(eps0=[0.0, 0.2], eps1=[0.0, 0.4])
-        with pytest.raises(DegenerateChainError):
-            stationary_on_prob(cfg, 0)
+        cfg = make_config(eps0=[0.2, 0.0], eps1=[0.4, 0.0])
+        with pytest.raises(DegenerateChainError, match="process 1 "):
+            stationary_on_probs(cfg)
 
     def test_stationary_is_fixed_point(self):
         cfg = make_config()
@@ -201,14 +214,6 @@ class TestActivation:
         expected = 1.0 - (1.0 - cfg.q[0]) * (1.0 - cfg.q[1])
         np.testing.assert_allclose(probs, expected)
 
-    def test_scalar_matches_vector(self):
-        cfg = make_config()
-        state = np.array([1, 1], dtype=np.uint8)
-        for k in range(3):
-            assert activation_prob_given_state(state, k, cfg) == pytest.approx(
-                activation_probs(state, cfg)[k]
-            )
-
     def test_sample_extremes(self):
         cfg = make_config(q=[[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         acts = sample_activations(
@@ -235,14 +240,6 @@ class TestPredictor:
                 expected += p * activation_probs(nxt, cfg)
             np.testing.assert_allclose(
                 predict_activation_probs(state, cfg), expected, atol=1e-14
-            )
-
-    def test_scalar_matches_vector(self):
-        cfg = make_config()
-        state = np.array([0, 1], dtype=np.uint8)
-        for k in range(3):
-            assert predict_activation_prob(state, k, cfg) == pytest.approx(
-                predict_activation_probs(state, cfg)[k], abs=1e-15
             )
 
 
