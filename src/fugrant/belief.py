@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ConfigurationError,
     ScenarioConfig,
     predict_activation_probs,
     state_bits,
@@ -34,13 +35,13 @@ UNOBSERVED = -1
 
 MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 
-# Per-state probability tables are only cached while 2^N * K stays small
-# enough to be a clear win; past this the filter falls back to per-device
+# The per-state activation table is only cached while 2^N * K stays small
+# enough to be a clear win; past this the emission falls back to per-device
 # vectors and stays within O(2^N) transient memory.
 _TABLE_MAX_ENTRIES = 1 << 23
 
 
-class CapacityError(ValueError):
+class CapacityError(ConfigurationError):
     """The joint state space is too large for exact tracking."""
 
 
@@ -142,23 +143,23 @@ def _activation_table(config: ScenarioConfig) -> np.ndarray | None:
     )
 
 
-def _prediction_factors(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K) factors of P(device silent next slot | state): process n
-    contributes the first when Off now, the second when On now."""
-    return (
-        1.0 - config.eps1[:, None] * config.q,
-        1.0 - (1.0 - config.eps0[:, None]) * config.q,
-    )
+def _forecast_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """P(device silent next slot | half-state) for the low h = N // 2 process
+    bits, shape (2^h, K), and for the high N - h bits, shape (2^(N-h), K).
 
+    State s = s_low + 2^h * s_high, so low[s_low] * high[s_high] is the
+    silent probability given the whole state. Process n contributes the
+    factor 1 - eps1[n] * q[n] when Off now and 1 - (1 - eps0[n]) * q[n] when
+    On now.
+    """
 
-def _prediction_table(config: ScenarioConfig) -> np.ndarray | None:
-    """(2^N, K) table of P(device active next slot | state), or None."""
-    if config.n_states * config.n_devices > _TABLE_MAX_ENTRIES:
-        return None
-    return config.cached(
-        "belief.prediction_table",
-        lambda: 1.0 - _state_products(*_prediction_factors(config)),
-    )
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        off = 1.0 - config.eps1[:, None] * config.q
+        on = 1.0 - (1.0 - config.eps0[:, None]) * config.q
+        h = config.n_processes // 2
+        return _state_products(off[:h], on[:h]), _state_products(off[h:], on[h:])
+
+    return config.cached("belief.forecast_halves", build)
 
 
 def _emission_vector(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
@@ -218,16 +219,6 @@ def most_likely_state(belief: BeliefState) -> np.ndarray:
     return state_bits(idx, belief.n_processes)
 
 
-def most_likely_pattern(state: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Most likely next-slot activity vector given a state.
-
-    The joint likelihood of a pattern factorizes over devices given the
-    state, so thresholding each device's predicted probability at 0.5 is the
-    exact argmax; a device at exactly 0.5 resolves to silent.
-    """
-    return (predict_activation_probs(state, config) > 0.5).astype(np.uint8)
-
-
 def device_forecast(
     belief: BeliefState, config: ScenarioConfig, mode: str = "map_state"
 ) -> np.ndarray:
@@ -240,12 +231,7 @@ def device_forecast(
     if mode == "map_state":
         return predict_activation_probs(most_likely_state(belief), config)
     if mode == "marginal":
-        table = _prediction_table(config)
-        if table is not None:
-            return belief.weights @ table
-        off, on = _prediction_factors(config)
-        out = np.empty(config.n_devices)
-        for k in range(config.n_devices):
-            out[k] = 1.0 - belief.weights @ _state_products(off[:, k], on[:, k])
-        return out
+        low, high = _forecast_halves(config)
+        w = belief.weights.reshape(high.shape[0], low.shape[0])
+        return 1.0 - ((w @ low) * high).sum(axis=0)
     raise ValueError(f"unknown forecast mode {mode!r}; expected 'map_state' or 'marginal'")

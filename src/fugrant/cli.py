@@ -155,10 +155,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if value < 1:
             raise ConfigurationError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    if args.max_n > 4:
-        raise ConfigurationError(
-            f"max_n = {args.max_n} exceeds 4; path enumeration is exponential"
-        )
+    if not 0 <= args.seed < 2**64:
+        raise ConfigurationError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if not args.tolerance >= 0.0:  # also catches NaN
+        raise ConfigurationError(f"--tolerance must be >= 0, got {args.tolerance}")
     report = run_oracle_suite(
         max_n=args.max_n,
         max_k=args.max_k,

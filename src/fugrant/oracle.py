@@ -16,6 +16,7 @@ import numpy as np
 from . import belief as belief_mod
 from .belief import OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED
 from .model import (
+    ConfigurationError,
     ScenarioConfig,
     activation_probs,
     predict_activation_probs,
@@ -199,7 +200,16 @@ def run_oracle_suite(
     instances: int = 50,
     base_seed: int = 0,
 ) -> OracleReport:
-    """Run both reference suites over randomized instances."""
+    """Run both reference suites over randomized instances.
+
+    Raises ConfigurationError up front when an instance could need more than
+    max_n = 4 processes or more than _MAX_PATHS enumerated paths.
+    """
+    if max_n > 4 or max_n * max_t > math.log2(_MAX_PATHS):
+        raise ConfigurationError(
+            f"max_n = {max_n} and max_t = {max_t} are too large: path enumeration "
+            f"needs max_n <= 4 and (2^max_n)^max_t <= {_MAX_PATHS}"
+        )
     forward_max = -1.0
     pred_max = -1.0
     worst_f = worst_p = base_seed

@@ -14,12 +14,10 @@ from fugrant.belief import (
     _activation_table,
     _emission_vector,
     _predict,
-    _prediction_table,
     device_forecast,
     entropy,
     forward_update,
     init_belief,
-    most_likely_pattern,
     most_likely_state,
     unnormalized_joint,
 )
@@ -211,14 +209,6 @@ class TestMapState:
         tied = most_likely_state(BeliefState(np.array([0.3, 0.3, 0.3, 0.1])))
         assert state_index(tied) == 0
 
-    def test_pattern_thresholds_predictor(self):
-        cfg = make_scenario(n=2, k=4, seed=8)
-        state = np.array([1, 0], dtype=np.uint8)
-        pattern = most_likely_pattern(state, cfg)
-        np.testing.assert_array_equal(
-            pattern, (predict_activation_probs(state, cfg) > 0.5).astype(np.uint8)
-        )
-
 
 class TestDeviceForecast:
     def test_map_state_mode(self):
@@ -230,8 +220,11 @@ class TestDeviceForecast:
             predict_activation_probs(map_bits, cfg),
         )
 
-    def test_marginal_mode_weights_all_states(self):
-        cfg = make_scenario(n=3, k=4, seed=10)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_marginal_mode_weights_all_states(self, n):
+        # n=1 leaves the low half of the process bits empty; odd n splits
+        # them unequally
+        cfg = make_scenario(n=n, k=4, seed=10)
         belief = forward_update(
             init_belief(cfg), np.array([1, -1, 0, -1], dtype=np.int8), cfg
         )
@@ -244,18 +237,22 @@ class TestDeviceForecast:
             device_forecast(belief, cfg, "marginal"), expected, atol=1e-12
         )
 
-    def test_marginal_fallback_matches_table(self, monkeypatch):
-        cfg = make_scenario(n=3, k=4, seed=10)
-        belief = init_belief(cfg)
-        with_table = device_forecast(belief, cfg, "marginal")
-        monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
-        cfg2 = make_scenario(n=3, k=4, seed=10)
-        assert _prediction_table(cfg2) is None
-        np.testing.assert_allclose(
-            device_forecast(init_belief(cfg2), cfg2, "marginal"),
-            with_table,
-            atol=1e-14,
+    def test_marginal_mode_at_large_n_caches_half_width_tables(self):
+        cfg = make_scenario(n=20, k=4, seed=11)
+        states = [0, 5, 1 << 19, (1 << 20) - 1, 0x5A5A5]
+        mass = [0.1, 0.2, 0.3, 0.15, 0.25]
+        weights = np.zeros(cfg.n_states)
+        weights[states] = mass
+        expected = sum(
+            m * predict_activation_probs(state_bits(s, cfg.n_processes), cfg)
+            for s, m in zip(states, mass)
         )
+        np.testing.assert_allclose(
+            device_forecast(BeliefState(weights), cfg, "marginal"), expected, atol=1e-12
+        )
+        limit = 2 ** ((cfg.n_processes + 1) // 2) * cfg.n_devices
+        cached = [a for v in cfg._cache.values() for a in (v if isinstance(v, tuple) else (v,))]
+        assert cached and max(a.size for a in cached) <= limit
 
     def test_unknown_mode_rejected(self):
         cfg = make_scenario()

@@ -203,6 +203,29 @@ class TestRun:
         assert code != 0
         assert "q[0][1]" in capsys.readouterr().err
 
+    def test_filter_policy_beyond_capacity_names_key(self, tmp_path, capsys):
+        n = 25
+        cfg = ScenarioConfig(
+            n_processes=n,
+            n_devices=2,
+            n_slots=1,
+            horizon=3,
+            seed=0,
+            eps0=[0.1] * n,
+            eps1=[0.2] * n,
+            q=[[0.1, 0.2]] * n,
+        )
+        path = tmp_path / "big.json"
+        path.write_text(cfg.to_json())
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "run", "--config", str(path), "--policies", "fu_limited", "--runs", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "n_processes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_temp_files_left_behind(self, config_path, tmp_path):
         out = tmp_path / "out.csv"
         run_cli("run", "--config", config_path, "--runs", "1", "--out", str(out))
@@ -274,6 +297,29 @@ class TestOracle:
     @pytest.mark.parametrize("flag", ["--instances", "--max-n", "--max-k", "--max-t"])
     def test_sizes_below_one_rejected(self, flag, capsys):
         assert run_cli("oracle", flag, "0") == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "deviation" not in captured.out
+
+    @pytest.mark.parametrize(
+        "max_n, max_t", [("4", "7"), ("3", "9")], ids=["4x7", "3x9"]
+    )
+    def test_path_enumeration_limit(self, max_n, max_t, capsys):
+        assert run_cli("oracle", "--max-n", max_n, "--max-t", max_t, "--instances", "1") == 2
+        captured = capsys.readouterr()
+        assert "max_n" in captured.err and "max_t" in captured.err
+        assert "deviation" not in captured.out
+
+    def test_largest_enumeration_runs(self):
+        assert run_cli("oracle", "--max-n", "4", "--max-t", "6", "--instances", "2") == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--seed", str(2**64)), ("--tolerance", "nan"), ("--tolerance", "-1")],
+        ids=["seed-negative", "seed-2^64", "tolerance-nan", "tolerance-negative"],
+    )
+    def test_bad_seed_or_tolerance_rejected(self, flag, value, capsys):
+        assert run_cli("oracle", "--instances", "1", flag, value) == 2
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "deviation" not in captured.out
