@@ -40,6 +40,10 @@ MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 # vectors and stays within O(2^N) transient memory.
 _TABLE_MAX_ENTRIES = 1 << 23
 
+# The emission multiplies at most this many devices' likelihoods before it
+# rescales, so thousands of observed devices cannot underflow to zero.
+_EMISSION_BLOCK = 64
+
 
 class CapacityError(ConfigurationError):
     """The joint state space is too large for exact tracking."""
@@ -162,27 +166,44 @@ def _forecast_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return config.cached("belief.forecast_halves", build)
 
 
-def _emission_vector(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
-    """Emission likelihood for every state at once; None when no evidence."""
-    active = np.flatnonzero(obs == OBSERVED_ACTIVE)
-    silent = np.flatnonzero(obs == OBSERVED_SILENT)
-    if active.size == 0 and silent.size == 0:
+def _emission_vector(
+    obs: np.ndarray, config: ScenarioConfig
+) -> tuple[np.ndarray, int] | None:
+    """Emission likelihood for every state at once, as (e, shift) with the
+    likelihood equal to e * 2**shift; None when no evidence.
+
+    Observed devices are folded in blocks of at most _EMISSION_BLOCK. Before
+    each block after the first, e is scaled by the power of two that brings
+    its maximum into [0.5, 1); the scaling is exact, so the result differs
+    from a single product only where that product would underflow.
+    """
+    observed = np.flatnonzero(obs != UNOBSERVED)
+    if observed.size == 0:
         return None
     table = _activation_table(config)
-    if table is not None:
-        e = np.ones(config.n_states)
-        if active.size:
-            e *= table[:, active].prod(axis=1)
-        if silent.size:
-            e *= (1.0 - table[:, silent]).prod(axis=1)
-        return e
     ones = np.ones(config.n_processes)
     e = np.ones(config.n_states)
-    for k in silent:
-        e *= _state_products(ones, 1.0 - config.q[:, k])
-    for k in active:
-        e *= 1.0 - _state_products(ones, 1.0 - config.q[:, k])
-    return e
+    shift = 0
+    for start in range(0, observed.size, _EMISSION_BLOCK):
+        if start:
+            _, exponent = np.frexp(e.max())
+            e = np.ldexp(e, -exponent)
+            shift += int(exponent)
+        block = observed[start : start + _EMISSION_BLOCK]
+        values = obs[block]
+        active = block[values == OBSERVED_ACTIVE]
+        silent = block[values == OBSERVED_SILENT]
+        if table is not None:
+            if active.size:
+                e *= table[:, active].prod(axis=1)
+            if silent.size:
+                e *= (1.0 - table[:, silent]).prod(axis=1)
+            continue
+        for k in silent:
+            e *= _state_products(ones, 1.0 - config.q[:, k])
+        for k in active:
+            e *= 1.0 - _state_products(ones, 1.0 - config.q[:, k])
+    return e, shift
 
 
 def forward_update(
@@ -201,16 +222,17 @@ def forward_update(
     if obs.shape != (config.n_devices,):
         raise ValueError(f"observation must have shape ({config.n_devices},), got {obs.shape}")
     w = _predict(belief.weights, config)
-    e = _emission_vector(obs, config)
-    if e is None:
+    emission = _emission_vector(obs, config)
+    if emission is None:
         return BeliefState(w, belief.log_scale)
+    e, shift = emission
     w = w * e
     total = float(w.sum())
     if total <= 0.0:
         raise EvidenceContradictionError(
             "observed evidence is impossible under the scenario's activation model"
         )
-    return BeliefState(w / total, belief.log_scale + math.log(total))
+    return BeliefState(w / total, belief.log_scale + math.log(total) + shift * math.log(2.0))
 
 
 def most_likely_state(belief: BeliefState) -> np.ndarray:

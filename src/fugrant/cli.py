@@ -24,9 +24,11 @@ import tempfile
 
 from .engine import SERIES, AggregateResult, run_monte_carlo
 from .model import (
+    MAX_SEED,
     ConfigurationError,
     ScenarioConfig,
     ScenarioTemplate,
+    check_int,
     stationary_on_probs,
 )
 from .oracle import run_oracle_suite
@@ -106,28 +108,23 @@ def render_json(result: AggregateResult, emit: str = "per-slot") -> str:
 
 
 def _load_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"{path}: top-level JSON value must be an object")
-    return ScenarioConfig.from_dict(payload)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return ScenarioConfig.from_json(handle.read())
+    except (ConfigurationError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     policies = [name for name in map(str.strip, args.policies.split(",")) if name]
     if args.config is not None:
         scenario: ScenarioConfig | ScenarioTemplate = _load_config(args.config)
-        master_seed = args.seed if args.seed is not None else scenario.seed
-        if args.horizon is not None:
-            scenario = scenario.replace(horizon=args.horizon)
+        default_seed = scenario.seed
     else:
-        scenario = PRESETS[args.preset]
-        master_seed = args.seed if args.seed is not None else 0
-        if args.horizon is not None:
-            scenario = dataclasses.replace(scenario, horizon=args.horizon)
+        scenario, default_seed = PRESETS[args.preset], 0
+    if args.horizon is not None:
+        scenario = dataclasses.replace(scenario, horizon=args.horizon)
+    master_seed = default_seed if args.seed is None else args.seed
 
     result = run_monte_carlo(
         scenario,
@@ -152,11 +149,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     for flag in ("max_n", "max_k", "max_t", "instances"):
-        value = getattr(args, flag)
-        if value < 1:
-            raise ConfigurationError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    if not 0 <= args.seed < 2**64:
-        raise ConfigurationError(f"--seed must be in [0, 2^64), got {args.seed}")
+        check_int("--" + flag.replace("_", "-"), getattr(args, flag), 1)
+    check_int("--seed", args.seed, 0, MAX_SEED)
     if not args.tolerance >= 0.0:  # also catches NaN
         raise ConfigurationError(f"--tolerance must be >= 0, got {args.tolerance}")
     report = run_oracle_suite(
@@ -255,10 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

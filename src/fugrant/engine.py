@@ -34,9 +34,11 @@ from .metrics import (
     slot_report,
 )
 from .model import (
+    MAX_SEED,
     ConfigurationError,
     ScenarioConfig,
     ScenarioTemplate,
+    check_int,
     rng_stream,
     sample_activations,
     stationary_on_probs,
@@ -203,10 +205,8 @@ def run_monte_carlo(
     fixed. Run r always uses the streams keyed by (master_seed, r), so the
     aggregate is byte-identical regardless of how the loop is executed.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    if not 0 <= master_seed < 2**64:
-        raise ConfigurationError(f"seed must be in [0, 2^64), got {master_seed}")
+    runs = check_int("runs", runs, 1)
+    master_seed = check_int("seed", master_seed, 0, MAX_SEED)
     policies = _normalize_policies(policies)
 
     base: ScenarioConfig | None = None

@@ -18,17 +18,13 @@ from .policies import RaOutcome
 
 @dataclass
 class SlotReport:
-    """Outcome of one slot for one policy.
-
-    successes is the number of transmission slots actually used, which for
-    grant policies equals the number of served devices.
-    """
+    """Outcome of one slot for one policy; served[k] is 1 iff device k
+    transmitted successfully."""
 
     wrong: int
     missed: int
     regret: int
     served: np.ndarray
-    successes: int
 
 
 def slot_report(activations: np.ndarray, grants: np.ndarray) -> SlotReport:
@@ -48,7 +44,6 @@ def slot_report(activations: np.ndarray, grants: np.ndarray) -> SlotReport:
         missed=missed,
         regret=min(wrong, missed),
         served=served,
-        successes=int(served.sum()),
     )
 
 
@@ -68,7 +63,6 @@ def ra_report(activations: np.ndarray, outcome: RaOutcome, n_slots: int) -> Slot
         missed=missed,
         regret=min(wrong, missed),
         served=outcome.success,
-        successes=successes,
     )
 
 

@@ -14,6 +14,7 @@ bit, and the bit vector [1, 0, 1] is index 5.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -38,6 +39,19 @@ def rng_stream(seed: int, run: int = 0, purpose: str = "") -> np.random.Generato
     """
     tag = int.from_bytes(hashlib.sha256(purpose.encode("utf-8")).digest()[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([seed, run, tag]))
+
+
+MAX_SEED = 2**64 - 1  # seeds are unsigned 64-bit integers
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int in [low, high]; ConfigurationError naming `name` if it
+    is a bool, not an integer, or out of range."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        raise ConfigurationError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def _check_unit_interval(name: str, arr: np.ndarray) -> None:
@@ -83,20 +97,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_processes", "n_devices", "n_slots"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.n_slots > self.n_devices:
             raise ConfigurationError(
                 f"n_slots = {self.n_slots} exceeds n_devices = {self.n_devices}"
             )
-        if not isinstance(self.horizon, (int, np.integer)) or isinstance(self.horizon, bool) or self.horizon < 0:
-            raise ConfigurationError(f"horizon must be an integer >= 0, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 0))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0, MAX_SEED))
 
         for name, expected in (
             ("eps0", (self.n_processes,)),
@@ -126,9 +133,7 @@ class ScenarioConfig:
         return self._cache[key]
 
     def replace(self, **changes) -> "ScenarioConfig":
-        fields = {k: getattr(self, k) for k in _CONFIG_KEYS}
-        fields.update(changes)
-        return ScenarioConfig(**fields)
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         return {
@@ -161,7 +166,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ConfigurationError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -213,8 +218,7 @@ def sample_scenario(
     """
     for name, value in (("n_processes", n_processes), ("n_devices", n_devices),
                         ("n_slots", n_slots)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int(name, value, 1)
     if not 0.0 < eps_max <= 1.0:
         raise ConfigurationError(f"eps_max must be in (0, 1], got {eps_max!r}")
     if not 0.0 < q_max <= 1.0:

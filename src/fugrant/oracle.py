@@ -16,9 +16,11 @@ import numpy as np
 from . import belief as belief_mod
 from .belief import OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED
 from .model import (
+    MAX_SEED,
     ConfigurationError,
     ScenarioConfig,
     activation_probs,
+    check_int,
     predict_activation_probs,
     rng_stream,
     sample_activations,
@@ -203,8 +205,10 @@ def run_oracle_suite(
     """Run both reference suites over randomized instances.
 
     Raises ConfigurationError up front when an instance could need more than
-    max_n = 4 processes or more than _MAX_PATHS enumerated paths.
+    max_n = 4 processes or more than _MAX_PATHS enumerated paths, or when the
+    last instance seed, base_seed + instances - 1, is not a 64-bit seed.
     """
+    check_int("seed + instances - 1", base_seed + instances - 1, 0, MAX_SEED)
     if max_n > 4 or max_n * max_t > math.log2(_MAX_PATHS):
         raise ConfigurationError(
             f"max_n = {max_n} and max_t = {max_t} are too large: path enumeration "

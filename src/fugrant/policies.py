@@ -31,16 +31,14 @@ class RaOutcome:
     success: np.ndarray
 
 
-def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray | None = None) -> np.ndarray:
+def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
     """Grant the n_slots devices with the highest forecast probability.
 
     Rank-based: any strictly monotone transform of the forecast yields the
-    same grants. Exact ties prefer the device with the larger current age,
-    then the lower index; pass aoi=None for index-only tie-breaking.
+    same grants. Exact ties prefer the device with the larger current age
+    (aoi), then the lower index.
     """
     n_devices = forecast.shape[0]
-    if aoi is None:
-        aoi = np.zeros(n_devices)
     order = np.lexsort((np.arange(n_devices), -np.asarray(aoi, dtype=np.float64), -forecast))
     grants = np.zeros(n_devices, dtype=np.uint8)
     grants[order[:n_slots]] = 1
@@ -58,7 +56,7 @@ def genie_grant(
     true_state: np.ndarray,
     config: ScenarioConfig,
     n_slots: int,
-    aoi: np.ndarray | None = None,
+    aoi: np.ndarray,
 ) -> np.ndarray:
     """Fast uplink with perfect state knowledge: the one-step predictor is
     evaluated at the true hidden state instead of a belief."""

@@ -25,6 +25,7 @@ from fugrant.model import (
     ScenarioConfig,
     activation_probs,
     predict_activation_probs,
+    rng_stream,
     sample_activations,
     sample_scenario,
     state_bits,
@@ -105,7 +106,8 @@ class TestEmission:
         rng = np.random.default_rng(4)
         for _ in range(20):
             obs = rng.integers(-1, 2, size=cfg.n_devices).astype(np.int8)
-            emission = _emission_vector(obs, cfg)
+            e, shift = _emission_vector(obs, cfg)
+            emission = e * 2.0**shift
             for idx in range(cfg.n_states):
                 state = state_bits(idx, cfg.n_processes)
                 probs = activation_probs(state, cfg)
@@ -124,11 +126,13 @@ class TestEmission:
     def test_table_and_fallback_agree(self, monkeypatch):
         cfg = make_scenario(n=4, k=6, seed=5)
         obs = np.array([1, 0, -1, 1, 0, -1], dtype=np.int8)
-        with_table = _emission_vector(obs, cfg)
+        e, shift = _emission_vector(obs, cfg)
+        with_table = e * 2.0**shift
         monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
         cfg2 = make_scenario(n=4, k=6, seed=5)
         assert _activation_table(cfg2) is None
-        without_table = _emission_vector(obs, cfg2)
+        e, shift = _emission_vector(obs, cfg2)
+        without_table = e * 2.0**shift
         np.testing.assert_allclose(with_table, without_table, atol=1e-14)
 
 
@@ -156,11 +160,37 @@ class TestForwardUpdate:
         belief = init_belief(cfg)
         obs = np.array([1, 1, 0], dtype=np.int8)
         predicted = _predict(belief.weights, cfg)
-        emission = _emission_vector(obs, cfg)
+        e, shift = _emission_vector(obs, cfg)
+        emission = e * 2.0**shift
         updated = forward_update(belief, obs, cfg)
         np.testing.assert_allclose(
             unnormalized_joint(updated), predicted * emission, atol=1e-12
         )
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "per-device"])
+    def test_massive_k_matches_log_space_enumeration(self, table, monkeypatch):
+        # 3000 likelihood factors underflow a plain product for every state
+        if not table:
+            monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
+        rng = rng_stream(2, 0, "s")
+        cfg = sample_scenario(2, 3000, 10, 0, 0.5, rng, q_max=0.8)
+        assert (_activation_table(cfg) is not None) == table
+        state = np.array([1, 0], dtype=np.uint8)
+        belief = init_belief(cfg)
+        for _ in range(3):
+            state = step_processes(state, cfg, rng)
+            obs = observe_feedback(sample_activations(state, cfg, rng))
+            log_joint = np.log(_predict(belief.weights, cfg)) + belief.log_scale
+            for idx in range(cfg.n_states):
+                p = activation_probs(state_bits(idx, cfg.n_processes), cfg)
+                with np.errstate(divide="ignore"):  # the all-Off state cannot be active
+                    log_joint[idx] += np.log(np.where(obs == OBSERVED_ACTIVE, p, 1.0 - p)).sum()
+            belief = forward_update(belief, obs, cfg)
+            log_evidence = np.logaddexp.reduce(log_joint)
+            np.testing.assert_allclose(
+                belief.weights, np.exp(log_joint - log_evidence), atol=1e-9
+            )
+            assert belief.log_scale == pytest.approx(log_evidence, rel=1e-12)
 
     def test_contradiction_raises(self):
         # device 0 can only activate when process 0 is On, and process 0 is

@@ -203,6 +203,16 @@ class TestRun:
         assert code != 0
         assert "q[0][1]" in capsys.readouterr().err
 
+    def test_bool_seed_in_config_rejected(self, config_path, tmp_path, capsys):
+        payload = json.loads(Path(config_path).read_text())
+        payload["seed"] = True
+        Path(config_path).write_text(json.dumps(payload))
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--config", config_path, "--runs", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert config_path in err and "seed" in err
+        assert not out.exists()
+
     def test_filter_policy_beyond_capacity_names_key(self, tmp_path, capsys):
         n = 25
         cfg = ScenarioConfig(
@@ -272,6 +282,30 @@ class TestValidate:
         assert run_cli("validate", str(path)) != 0
         assert "eps0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("seed", True), ("q", None)], ids=["seed-bool", "q-missing"]
+    )
+    def test_bad_config_names_file_and_key(self, config_path, key, value, capsys):
+        payload = json.loads(Path(config_path).read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        Path(config_path).write_text(json.dumps(payload))
+        assert run_cli("validate", config_path) == 2
+        err = capsys.readouterr().err
+        assert config_path in err and key in err
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unparseable_file_names_file(self, tmp_path, content, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run_cli("validate", str(path)) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -323,6 +357,15 @@ class TestOracle:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "deviation" not in captured.out
+
+    def test_last_instance_seed_beyond_64_bits(self, capsys):
+        assert run_cli("oracle", "--seed", str(2**64 - 1), "--instances", "2") == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and "instances" in captured.err
+        assert "deviation" not in captured.out
+
+    def test_massive_k_runs(self):
+        assert run_cli("oracle", "--max-k", "100000", "--instances", "1") == 0
 
 
 def run_declared_entry_point(*argv):

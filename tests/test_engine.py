@@ -12,7 +12,7 @@ from fugrant.engine import (
     run_episode,
     run_monte_carlo,
 )
-from fugrant.model import ScenarioTemplate, rng_stream, sample_scenario
+from fugrant.model import ConfigurationError, ScenarioTemplate, rng_stream, sample_scenario
 from fugrant.policies import POLICIES
 
 SMALL = dict(n_processes=3, n_devices=8, n_slots=3, horizon=40)
@@ -130,6 +130,13 @@ class TestRunEpisode:
         assert isinstance(res, EpisodeResult)
         assert any("reset" in r.message for r in caplog.records)
 
+    def test_massive_k_feedback_never_resets(self, caplog):
+        # 3000 observed devices per slot: the evidence must not underflow
+        cfg = sample_scenario(4, 3000, 10, 20, 0.5, rng_stream(1, 0, "s"), q_max=0.8)
+        with caplog.at_level(logging.WARNING, logger="fugrant.engine"):
+            run_episode(cfg, ["fu_feedback"], rng_stream(1, 0, "episode"))
+        assert not [r for r in caplog.records if "reset" in r.message]
+
     def test_genie_no_worse_than_fu_on_average(self):
         tpl = ScenarioTemplate(n_processes=4, n_devices=12, n_slots=3, horizon=300)
         agg = run_monte_carlo(tpl, runs=20, master_seed=0, policies=POLICIES)
@@ -195,6 +202,14 @@ class TestRunMonteCarlo:
     def test_bad_run_count_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             run_monte_carlo(small_config(), runs=0, master_seed=0, policies=["ra"])
+
+    @pytest.mark.parametrize(
+        "key, runs, seed",
+        [("runs", 2.5, 0), ("runs", True, 0), ("seed", 1, 1.5), ("seed", 1, True)],
+    )
+    def test_non_integer_runs_or_seed_rejected(self, key, runs, seed):
+        with pytest.raises(ConfigurationError, match=key):
+            run_monte_carlo(small_config(), runs=runs, master_seed=seed, policies=["ra"])
 
     def test_belief_mode_forwarded(self):
         cfg = small_config(seed=6, horizon=30)

@@ -57,6 +57,7 @@ class TestScenarioConfig:
             ("horizon", -1),
             ("seed", -1),
             ("seed", 1 << 64),
+            ("seed", True),
         ],
     )
     def test_bad_scalars_rejected(self, field, value):
@@ -256,6 +257,10 @@ class TestSampling:
             4, 6, 3, 10, 0.5, np.random.default_rng(0), q_max=0.3, seed=0
         )
         assert np.all(cfg.q <= 0.3)
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_processes"):
+            sample_scenario(True, 3, 1, 5, 0.5, np.random.default_rng(0))
 
     def test_template_sample_matches_function(self):
         tpl = ScenarioTemplate(

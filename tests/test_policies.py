@@ -19,19 +19,19 @@ from fugrant.policies import (
 class TestFuGrant:
     def test_exactly_l_grants(self):
         forecast = np.linspace(0, 1, 12)
-        grants = fu_grant(forecast, 5)
+        grants = fu_grant(forecast, 5, np.zeros(12))
         assert grants.sum() == 5 and grants.dtype == np.uint8
 
     def test_picks_top_forecast(self):
         forecast = np.array([0.1, 0.9, 0.4, 0.8, 0.2])
-        np.testing.assert_array_equal(fu_grant(forecast, 2), [0, 1, 0, 1, 0])
+        np.testing.assert_array_equal(fu_grant(forecast, 2, np.zeros(5)), [0, 1, 0, 1, 0])
 
     def test_tie_breaks_by_age_then_index(self):
         forecast = np.array([0.5, 0.5, 0.5, 0.5])
         aoi = np.array([2, 7, 7, 1])
         # oldest first among equal forecasts; equal ages go to lower index
         np.testing.assert_array_equal(fu_grant(forecast, 2, aoi), [0, 1, 1, 0])
-        np.testing.assert_array_equal(fu_grant(forecast, 2), [1, 1, 0, 0])
+        np.testing.assert_array_equal(fu_grant(forecast, 2, np.zeros(4)), [1, 1, 0, 0])
 
     def test_forecast_dominates_age(self):
         forecast = np.array([0.9, 0.1])
@@ -39,7 +39,7 @@ class TestFuGrant:
         np.testing.assert_array_equal(fu_grant(forecast, 1, aoi), [1, 0])
 
     def test_l_equals_k_grants_everyone(self):
-        grants = fu_grant(np.zeros(4), 4)
+        grants = fu_grant(np.zeros(4), 4, np.zeros(4))
         np.testing.assert_array_equal(grants, [1, 1, 1, 1])
 
 
@@ -157,5 +157,5 @@ def test_grant_popcount_never_exceeds_l(maker):
             grants = tdd_grant(t, 9, 4)
         else:
             state = (rng.random(3) < 0.5).astype(np.uint8)
-            grants = genie_grant(state, cfg, 4)
+            grants = genie_grant(state, cfg, 4, np.zeros(9))
         assert grants.sum() == 4  # exactly L when K >= L

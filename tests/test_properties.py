@@ -89,7 +89,7 @@ def test_fu_grant_selects_a_maximal_set(k, seed):
     rng = np.random.default_rng(seed)
     l = int(rng.integers(1, k + 1))
     forecast = rng.random(k)
-    grants = fu_grant(forecast, l)
+    grants = fu_grant(forecast, l, np.zeros(k))
     assert int(grants.sum()) == l
     if l < k:
         chosen_min = forecast[grants == 1].min()
