@@ -6,7 +6,8 @@ unnormalized joint probability of the current state and the whole evidence
 history. Per-slot evidence is tri-state per device: observed active,
 observed silent, or unobserved. Unobserved devices contribute no emission
 factor at all (they are marginalized out exactly), which is how the tracker
-copes with seeing only the devices it scheduled.
+copes with seeing only the devices it scheduled. Evidence is summed in log
+space, so no number of observed devices can underflow it.
 
 The prediction step applies each process's 2x2 kernel along its own axis of
 the weight tensor (O(N * 2^N)); the full 2^N x 2^N transition matrix is
@@ -35,14 +36,15 @@ UNOBSERVED = -1
 
 MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 
-# The per-state activation table is only cached while 2^N * K stays small
-# enough to be a clear win; past this the emission falls back to per-device
-# vectors and stays within O(2^N) transient memory.
+# The (2^N, K) log-activation table is cached only up to this many entries
+# (64 MiB); past it each active device's column is rebuilt per slot, which
+# keeps the emission within O(2^N) transient memory.
 _TABLE_MAX_ENTRIES = 1 << 23
 
-# The emission multiplies at most this many devices' likelihoods before it
-# rescales, so thousands of observed devices cannot underflow to zero.
-_EMISSION_BLOCK = 64
+# log(0) is clamped to this finite value because BLAS turns -inf * 0 into
+# NaN. Real log-likelihoods (about -745 per device at worst) sum to far
+# above it, so a state whose evidence sits at the floor is impossible.
+_LOG_FLOOR = -1e300
 
 
 class CapacityError(ConfigurationError):
@@ -136,17 +138,6 @@ def _state_products(off: np.ndarray, on: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activation_table(config: ScenarioConfig) -> np.ndarray | None:
-    """(2^N, K) table of P(device active | state), or None if too large."""
-    if config.n_states * config.n_devices > _TABLE_MAX_ENTRIES:
-        return None
-    ones = np.ones_like(config.q)
-    return config.cached(
-        "belief.activation_table",
-        lambda: 1.0 - _state_products(ones, 1.0 - config.q),
-    )
-
-
 def _forecast_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """P(device silent next slot | half-state) for the low h = N // 2 process
     bits, shape (2^h, K), and for the high N - h bits, shape (2^(N-h), K).
@@ -166,44 +157,47 @@ def _forecast_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return config.cached("belief.forecast_halves", build)
 
 
-def _emission_vector(
-    obs: np.ndarray, config: ScenarioConfig
-) -> tuple[np.ndarray, int] | None:
-    """Emission likelihood for every state at once, as (e, shift) with the
-    likelihood equal to e * 2**shift; None when no evidence.
+def _floored_log(x: np.ndarray) -> np.ndarray:
+    """log(x) in place, with log(0) clamped to _LOG_FLOOR."""
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    return np.maximum(x, _LOG_FLOOR, out=x)
 
-    Observed devices are folded in blocks of at most _EMISSION_BLOCK. Before
-    each block after the first, e is scaled by the power of two that brings
-    its maximum into [0.5, 1); the scaling is exact, so the result differs
-    from a single product only where that product would underflow.
-    """
-    observed = np.flatnonzero(obs != UNOBSERVED)
-    if observed.size == 0:
+
+def _log_active(silent_given_on: np.ndarray) -> np.ndarray:
+    """log P(device active | state) from the per-process factors
+    P(device silent | process On) = 1 - q: (N,) gives (2^N,), (N, K) gives
+    (2^N, K)."""
+    t = _state_products(np.ones_like(silent_given_on), silent_given_on)
+    return _floored_log(np.subtract(1.0, t, out=t))
+
+
+def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
+    """Log-likelihood of the slot's evidence for every state, shape (2^N,),
+    or None when no device is observed. Active devices add their columns of
+    the log P(active | state) table, cached up to _TABLE_MAX_ENTRIES. Silent
+    devices factor over processes (QuickScore): each On process n adds
+    c[n] = sum of log(1 - q[n, k]) over silent k, split as in _forecast_halves."""
+    active = obs == OBSERVED_ACTIVE
+    silent = obs == OBSERVED_SILENT
+    if not (active.any() or silent.any()):
         return None
-    table = _activation_table(config)
-    ones = np.ones(config.n_processes)
-    e = np.ones(config.n_states)
-    shift = 0
-    for start in range(0, observed.size, _EMISSION_BLOCK):
-        if start:
-            _, exponent = np.frexp(e.max())
-            e = np.ldexp(e, -exponent)
-            shift += int(exponent)
-        block = observed[start : start + _EMISSION_BLOCK]
-        values = obs[block]
-        active = block[values == OBSERVED_ACTIVE]
-        silent = block[values == OBSERVED_SILENT]
-        if table is not None:
-            if active.size:
-                e *= table[:, active].prod(axis=1)
-            if silent.size:
-                e *= (1.0 - table[:, silent]).prod(axis=1)
-            continue
-        for k in silent:
-            e *= _state_products(ones, 1.0 - config.q[:, k])
-        for k in active:
-            e *= 1.0 - _state_products(ones, 1.0 - config.q[:, k])
-    return e, shift
+    if config.n_states * config.n_devices <= _TABLE_MAX_ENTRIES:
+        table = config.cached("belief.log_active_table", lambda: _log_active(1.0 - config.q))
+        le = table @ active.astype(float)
+    else:
+        le = np.zeros(config.n_states)
+        for k in np.flatnonzero(active):
+            le += _log_active(1.0 - config.q[:, k])
+    log_silent = config.cached("belief.log_silent", lambda: _floored_log(1.0 - config.q))
+    c = log_silent @ silent.astype(float)
+    h = config.n_processes // 2
+    # bits[s, n] = bit n of half-state s: process n's factor is 0 Off, 1 On
+    low, high = config.cached("belief.bit_halves", lambda: tuple(
+        _state_products(1.0 - np.eye(m), np.ones((m, m))) for m in (h, config.n_processes - h)
+    ))
+    le += ((high @ c[h:])[:, None] + low @ c[:h]).reshape(-1)
+    return le
 
 
 def forward_update(
@@ -211,9 +205,9 @@ def forward_update(
 ) -> BeliefState:
     """One filtering step: propagate one slot, then fold in the evidence.
 
-    The normalizer of the corrected posterior is absorbed into log_scale, so
-    long horizons never underflow. A fully-unobserved slot is returned as the
-    bare prediction, bit for bit.
+    The log-evidence is shifted by its maximum m before `exp`; m and the log
+    of the posterior's normalizer are absorbed into log_scale. A
+    fully-unobserved slot is returned as the bare prediction, bit for bit.
 
     Raises EvidenceContradictionError when the evidence has zero probability
     under every state, which cannot happen for observations generated by the
@@ -222,17 +216,19 @@ def forward_update(
     if obs.shape != (config.n_devices,):
         raise ValueError(f"observation must have shape ({config.n_devices},), got {obs.shape}")
     w = _predict(belief.weights, config)
-    emission = _emission_vector(obs, config)
-    if emission is None:
+    le = _log_evidence(obs, config)
+    if le is None:
         return BeliefState(w, belief.log_scale)
-    e, shift = emission
-    w = w * e
+    m = float(le.max())
+    le -= m
+    w *= np.exp(le, out=le)
     total = float(w.sum())
-    if total <= 0.0:
+    if m <= _LOG_FLOOR or total <= 0.0:
         raise EvidenceContradictionError(
             "observed evidence is impossible under the scenario's activation model"
         )
-    return BeliefState(w / total, belief.log_scale + math.log(total) + shift * math.log(2.0))
+    w /= total
+    return BeliefState(w, belief.log_scale + math.log(total) + m)
 
 
 def most_likely_state(belief: BeliefState) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belief as belief_mod
-from .belief import OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED
+from .belief import OBSERVED_ACTIVE, UNOBSERVED
 from .model import (
     MAX_SEED,
     ConfigurationError,
@@ -70,46 +70,39 @@ def stationary_joint(config: ScenarioConfig) -> np.ndarray:
     return w
 
 
-def _emission_by_product(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Per-state evidence likelihood as an explicit product over devices."""
-    n_states = config.n_states
-    e = np.ones(n_states)
-    for s in range(n_states):
+def _log_emission_by_sum(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Per-state evidence log-likelihood, an `fsum` over observed devices."""
+    le = np.empty(config.n_states)
+    for s in range(config.n_states):
         p = activation_probs(state_bits(s, config.n_processes), config)
-        like = 1.0
-        for k in range(config.n_devices):
-            if obs[k] == OBSERVED_ACTIVE:
-                like *= p[k]
-            elif obs[k] == OBSERVED_SILENT:
-                like *= 1.0 - p[k]
-        e[s] = like
-    return e
+        like = np.where(obs == OBSERVED_ACTIVE, p, 1.0 - p)[obs != UNOBSERVED]
+        le[s] = math.fsum(math.log(x) if x > 0.0 else -math.inf for x in like)
+    return le
 
 
-def enumerate_forward_joint(
+def enumerate_forward_log_joint(
     config: ScenarioConfig, observations: list[np.ndarray]
 ) -> np.ndarray:
-    """Unnormalized joint over the final state by summing every state path.
-
-    Sums, over all (2^N)^T hidden paths, the product of the stationary prior,
-    every transition probability along the path, and every per-slot evidence
-    likelihood, then buckets path mass by final state.
+    """Log of the unnormalized joint over the final state, by summing every
+    state path: adds the log prior, transition and evidence terms along each
+    of the (2^N)^T hidden paths, then log-sum-exps the paths by final state.
     """
     n_states = config.n_states
     steps = len(observations)
-    if steps == 0:
-        return stationary_joint(config)
     n_paths = n_states**steps
     if n_paths > _MAX_PATHS:
         raise ValueError(f"{n_paths} paths exceed the enumeration limit of {_MAX_PATHS}")
-    trans = dense_transition_matrix(config)
-    prior = stationary_joint(config)
-    emissions = [_emission_by_product(obs, config) for obs in observations]
+    with np.errstate(divide="ignore"):
+        prior = np.log(stationary_joint(config))
+        trans = np.log(dense_transition_matrix(config))
+    emissions = [_log_emission_by_sum(obs, config) for obs in observations]
     paths = np.unravel_index(np.arange(n_paths), (n_states,) * steps)
-    mass = prior[paths[0]] * emissions[0][paths[0]]
+    mass = prior[paths[0]] + emissions[0][paths[0]]
     for step in range(1, steps):
-        mass = mass * trans[paths[step], paths[step - 1]] * emissions[step][paths[step]]
-    return np.bincount(paths[-1], weights=mass, minlength=n_states)
+        mass = mass + trans[paths[step], paths[step - 1]] + emissions[step][paths[step]]
+    out = np.full(n_states, -np.inf)
+    np.logaddexp.at(out, paths[-1], mass)
+    return out
 
 
 def predicted_activation_by_enumeration(
@@ -153,19 +146,30 @@ def random_filtering_instance(
     return config, observations
 
 
+def forward_filter_gaps(
+    config: ScenarioConfig, observations: list[np.ndarray]
+) -> tuple[float, float]:
+    """Largest gaps to path enumeration after every slot, NaN counted as inf:
+    over the normalized weights and the unnormalized joint (0 on both sides
+    at large K), and between log_scale and the reference log-evidence."""
+    state_belief = belief_mod.init_belief(config)
+    gaps = np.zeros(2)
+    for step in range(len(observations)):
+        state_belief = belief_mod.forward_update(state_belief, observations[step], config)
+        log_joint = enumerate_forward_log_joint(config, observations[: step + 1])
+        log_evidence = np.logaddexp.reduce(log_joint)
+        joint_error = state_belief.weights * math.exp(state_belief.log_scale) - np.exp(log_joint)
+        weight_error = state_belief.weights - np.exp(log_joint - log_evidence)
+        errors = np.abs(np.concatenate((joint_error, weight_error)))
+        gaps = np.maximum(gaps, [errors.max(), abs(state_belief.log_scale - log_evidence)])
+    return tuple(np.nan_to_num(gaps, nan=np.inf).tolist())
+
+
 def forward_filter_deviation(
     config: ScenarioConfig, observations: list[np.ndarray]
 ) -> float:
-    """Max absolute gap between the filter's unnormalized joint and the
-    path-enumeration reference, after every slot of the sequence."""
-    state_belief = belief_mod.init_belief(config)
-    worst = 0.0
-    for step in range(len(observations)):
-        state_belief = belief_mod.forward_update(state_belief, observations[step], config)
-        tracked = state_belief.weights * math.exp(state_belief.log_scale)
-        reference = enumerate_forward_joint(config, observations[: step + 1])
-        worst = max(worst, float(np.max(np.abs(tracked - reference))))
-    return worst
+    """The larger of the two `forward_filter_gaps`."""
+    return max(forward_filter_gaps(config, observations))
 
 
 def predictor_deviation(seed: int, max_n: int = 6) -> float:
@@ -187,12 +191,10 @@ def predictor_deviation(seed: int, max_n: int = 6) -> float:
 class OracleReport:
     instances: int
     forward_max_dev: float
+    log_evidence_max_dev: float
     predictor_max_dev: float
     worst_forward_seed: int
     worst_predictor_seed: int
-
-    def max_dev(self) -> float:
-        return max(self.forward_max_dev, self.predictor_max_dev)
 
 
 def run_oracle_suite(
@@ -202,7 +204,8 @@ def run_oracle_suite(
     instances: int = 50,
     base_seed: int = 0,
 ) -> OracleReport:
-    """Run both reference suites over randomized instances.
+    """Run both reference suites over randomized instances. The forward
+    deviation is the larger of an instance's two `forward_filter_gaps`.
 
     Raises ConfigurationError up front when an instance could need more than
     max_n = 4 processes or more than _MAX_PATHS enumerated paths, or when the
@@ -214,13 +217,14 @@ def run_oracle_suite(
             f"max_n = {max_n} and max_t = {max_t} are too large: path enumeration "
             f"needs max_n <= 4 and (2^max_n)^max_t <= {_MAX_PATHS}"
         )
-    forward_max = -1.0
-    pred_max = -1.0
+    forward_max = log_evidence_max = pred_max = -1.0
     worst_f = worst_p = base_seed
     for i in range(instances):
         seed = base_seed + i
         config, observations = random_filtering_instance(seed, max_n, max_k, max_t)
-        dev = forward_filter_deviation(config, observations)
+        gaps = forward_filter_gaps(config, observations)
+        log_evidence_max = max(log_evidence_max, gaps[1])
+        dev = max(gaps)
         if dev > forward_max:
             forward_max, worst_f = dev, seed
         dev = predictor_deviation(seed, max_n=min(max_n + 3, 6))
@@ -229,6 +233,7 @@ def run_oracle_suite(
     return OracleReport(
         instances=instances,
         forward_max_dev=forward_max,
+        log_evidence_max_dev=log_evidence_max,
         predictor_max_dev=pred_max,
         worst_forward_seed=worst_f,
         worst_predictor_seed=worst_p,

@@ -1,8 +1,11 @@
 """Belief tracker tests: exact filtering, censoring, capacity, forecasts."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from fugrant import engine
 from fugrant.belief import (
     MAX_PROCESSES,
     OBSERVED_ACTIVE,
@@ -11,8 +14,7 @@ from fugrant.belief import (
     BeliefState,
     CapacityError,
     EvidenceContradictionError,
-    _activation_table,
-    _emission_vector,
+    _log_evidence,
     _predict,
     device_forecast,
     entropy,
@@ -35,8 +37,10 @@ from fugrant.model import (
 )
 from fugrant.oracle import (
     dense_transition_matrix,
+    enumerate_forward_log_joint,
     forward_filter_deviation,
     predicted_activation_by_enumeration,
+    random_filtering_instance,
 )
 from fugrant.policies import observe_feedback, observe_limited
 
@@ -106,8 +110,7 @@ class TestEmission:
         rng = np.random.default_rng(4)
         for _ in range(20):
             obs = rng.integers(-1, 2, size=cfg.n_devices).astype(np.int8)
-            e, shift = _emission_vector(obs, cfg)
-            emission = e * 2.0**shift
+            emission = np.exp(_log_evidence(obs, cfg))
             for idx in range(cfg.n_states):
                 state = state_bits(idx, cfg.n_processes)
                 probs = activation_probs(state, cfg)
@@ -121,18 +124,17 @@ class TestEmission:
 
     def test_no_evidence_returns_none(self):
         cfg = make_scenario()
-        assert _emission_vector(all_unobserved(cfg.n_devices), cfg) is None
+        assert _log_evidence(all_unobserved(cfg.n_devices), cfg) is None
 
     def test_table_and_fallback_agree(self, monkeypatch):
         cfg = make_scenario(n=4, k=6, seed=5)
         obs = np.array([1, 0, -1, 1, 0, -1], dtype=np.int8)
-        e, shift = _emission_vector(obs, cfg)
-        with_table = e * 2.0**shift
+        with_table = np.exp(_log_evidence(obs, cfg))
+        assert "belief.log_active_table" in cfg._cache
         monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
         cfg2 = make_scenario(n=4, k=6, seed=5)
-        assert _activation_table(cfg2) is None
-        e, shift = _emission_vector(obs, cfg2)
-        without_table = e * 2.0**shift
+        without_table = np.exp(_log_evidence(obs, cfg2))
+        assert "belief.log_active_table" not in cfg2._cache
         np.testing.assert_allclose(with_table, without_table, atol=1e-14)
 
 
@@ -160,8 +162,7 @@ class TestForwardUpdate:
         belief = init_belief(cfg)
         obs = np.array([1, 1, 0], dtype=np.int8)
         predicted = _predict(belief.weights, cfg)
-        e, shift = _emission_vector(obs, cfg)
-        emission = e * 2.0**shift
+        emission = np.exp(_log_evidence(obs, cfg))
         updated = forward_update(belief, obs, cfg)
         np.testing.assert_allclose(
             unnormalized_joint(updated), predicted * emission, atol=1e-12
@@ -174,7 +175,6 @@ class TestForwardUpdate:
             monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
         rng = rng_stream(2, 0, "s")
         cfg = sample_scenario(2, 3000, 10, 0, 0.5, rng, q_max=0.8)
-        assert (_activation_table(cfg) is not None) == table
         state = np.array([1, 0], dtype=np.uint8)
         belief = init_belief(cfg)
         for _ in range(3):
@@ -191,6 +191,21 @@ class TestForwardUpdate:
                 belief.weights, np.exp(log_joint - log_evidence), atol=1e-9
             )
             assert belief.log_scale == pytest.approx(log_evidence, rel=1e-12)
+        assert ("belief.log_active_table" in cfg._cache) == table
+
+    def test_oracle_checks_log_evidence_at_massive_k(self, monkeypatch):
+        # N=3, K=71,932: the joint underflows to 0 on both sides, so only the
+        # normalized weights and the log-evidence still compare anything
+        cfg, observations = random_filtering_instance(0, 3, 100000, 6)
+        assert np.logaddexp.reduce(enumerate_forward_log_joint(cfg, observations)) < -745
+        assert forward_filter_deviation(cfg, observations) <= 1e-9
+
+        def off_by_1e6(belief, obs, config):
+            updated = forward_update(belief, obs, config)
+            return BeliefState(updated.weights, updated.log_scale + 1e-6)
+
+        monkeypatch.setattr("fugrant.belief.forward_update", off_by_1e6)
+        assert forward_filter_deviation(cfg, observations) > 1e-9
 
     def test_contradiction_raises(self):
         # device 0 can only activate when process 0 is On, and process 0 is
@@ -202,6 +217,28 @@ class TestForwardUpdate:
         obs = np.array([OBSERVED_ACTIVE, UNOBSERVED], dtype=np.int8)
         with pytest.raises(EvidenceContradictionError):
             forward_update(belief, obs, cfg)
+
+    def test_impossible_under_every_state_resets(self, monkeypatch, caplog):
+        # device 1 has q = 0 for every process, so P(active | s) = 0 for every
+        # s; its log-likelihood sits at the finite floor in every state, and
+        # exp(le - max) alone would not show the contradiction
+        cfg = make_scenario(n=3, k=4, seed=8).replace(
+            horizon=4,
+            q=np.array([[0.5, 0.0, 0.2, 0.9], [0.3, 0.0, 0.7, 0.1], [0.6, 0.0, 0.4, 0.8]]),
+        )
+        obs = np.array([OBSERVED_ACTIVE, OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED], np.int8)
+        with pytest.raises(EvidenceContradictionError):
+            forward_update(init_belief(cfg), obs, cfg)
+
+        def device_1_active(state, config, rng):
+            acts = sample_activations(state, config, rng)
+            acts[1] = 1
+            return acts
+
+        monkeypatch.setattr(engine, "sample_activations", device_1_active)
+        with caplog.at_level(logging.WARNING, logger="fugrant.engine"):
+            engine.run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
+        assert sum("reset" in r.message for r in caplog.records) == cfg.horizon
 
     def test_feedback_sharpens_on_average(self):
         # conditioning can raise entropy on individual draws; the guarantee

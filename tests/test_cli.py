@@ -318,6 +318,7 @@ class TestOracle:
         assert run_cli("oracle", "--instances", "5") == 0
         out = capsys.readouterr().out
         assert "forward max deviation" in out
+        assert "log-evidence max deviation" in out
         assert "predictor max deviation" in out
 
     def test_zero_tolerance_fails_with_seed(self, capsys):

@@ -4,9 +4,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fugrant.belief import _predict, forward_update, init_belief
+from fugrant.belief import UNOBSERVED, _predict, forward_update, init_belief
 from fugrant.metrics import MetricsAccumulator, average_usage, slot_report
-from fugrant.model import ScenarioConfig, sample_scenario, state_bits, state_index
+from fugrant.model import (
+    ScenarioConfig,
+    sample_activations,
+    sample_scenario,
+    state_bits,
+    state_index,
+    stationary_on_probs,
+    step_processes,
+)
 from fugrant.oracle import forward_filter_deviation, predictor_deviation, random_filtering_instance
 from fugrant.policies import fu_grant
 
@@ -18,6 +26,37 @@ MAX_EXAMPLES = 30
 def test_forward_filter_matches_path_enumeration(seed):
     cfg, observations = random_filtering_instance(seed, max_n=3, max_k=3, max_t=4)
     assert forward_filter_deviation(cfg, observations) < 1e-9
+
+
+@st.composite
+def edge_filtering_instances(draw):
+    """Scenario with q entries of exactly 0 or 1 and one eps of 0, plus a
+    trajectory's evidence with active, silent and unobserved devices."""
+    n, k, steps = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+    q = draw(st.lists(st.lists(prob, min_size=k, max_size=k), min_size=n, max_size=n))
+    eps = draw(st.lists(st.floats(0.05, 0.95), min_size=2 * n, max_size=2 * n))
+    eps[draw(st.integers(0, 2 * n - 1))] = 0.0
+    config = ScenarioConfig(
+        n_processes=n, n_devices=k, n_slots=1, horizon=steps,
+        eps0=eps[:n], eps1=eps[n:], q=q,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    state = (rng.random(n) < stationary_on_probs(config)).astype(np.uint8)
+    observations = []
+    for _ in range(steps):
+        state = step_processes(state, config, rng)
+        obs = sample_activations(state, config, rng).astype(np.int8)
+        obs[rng.random(k) < 1 / 3] = UNOBSERVED
+        observations.append(obs)
+    return config, observations
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(edge_filtering_instances())
+def test_forward_filter_matches_path_enumeration_at_edge_values(instance):
+    # log(0) terms must reach the weights as exact zeros, never as NaN
+    assert forward_filter_deviation(*instance) <= 1e-9
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
