@@ -11,7 +11,7 @@ space, so no number of observed devices can underflow it.
 
 The prediction step applies each process's 2x2 kernel along its own axis of
 the weight tensor (O(N * 2^N)); the full 2^N x 2^N transition matrix is
-never materialized.
+never materialized; evidence and forecasts are built from half-width tables.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ConfigurationError,
-    ScenarioConfig,
-    predict_activation_probs,
-    state_bits,
-    stationary_on_probs,
-)
+from .model import ConfigurationError, ScenarioConfig, stationary_on_probs
 
 # Per-device evidence values (int8 observation vectors).
 OBSERVED_SILENT = 0
@@ -37,13 +31,12 @@ UNOBSERVED = -1
 MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 
 # The (2^N, K) log-activation table is cached only up to this many entries
-# (64 MiB); past it each active device's column is rebuilt per slot, which
-# keeps the emission within O(2^N) transient memory.
+# (64 MiB); past it each active device's column is rebuilt per slot from the
+# half-width tables, which keeps the emission in O(2^N) transient memory.
 _TABLE_MAX_ENTRIES = 1 << 23
 
-# log(0) is clamped to this finite value because BLAS turns -inf * 0 into
-# NaN. Real log-likelihoods (about -745 per device at worst) sum to far
-# above it, so a state whose evidence sits at the floor is impossible.
+# log(0) is clamped to this finite value because BLAS turns -inf * 0 into NaN.
+# Real evidence (-745 per device at worst) never sums down to it.
 _LOG_FLOOR = -1e300
 
 
@@ -66,10 +59,6 @@ class BeliefState:
 
     weights: np.ndarray
     log_scale: float = 0.0
-
-    @property
-    def n_processes(self) -> int:
-        return int(self.weights.size).bit_length() - 1
 
 
 def unnormalized_joint(belief: BeliefState) -> np.ndarray:
@@ -157,46 +146,52 @@ def _forecast_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return config.cached("belief.forecast_halves", build)
 
 
-def _floored_log(x: np.ndarray) -> np.ndarray:
-    """log(x) in place, with log(0) clamped to _LOG_FLOOR."""
+def _evidence_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """log P(device silent | half-state), split as in _forecast_halves: the
+    sum of log1p(-q[n, k]) over the half's On processes, each term floored."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore"):
+            log_silent = np.maximum(np.log1p(-config.q), _LOG_FLOOR)
+        h = config.n_processes // 2
+        # bit n of half-state s selects row n, so entry s sums its On processes
+        return tuple(
+            ((np.arange(1 << len(rows))[:, None] >> np.arange(len(rows))) & 1) @ rows
+            for rows in (log_silent[:h], log_silent[h:])
+        )
+
+    return config.cached("belief.evidence_halves", build)
+
+
+def _log_active(config: ScenarioConfig, cols) -> np.ndarray:
+    """log P(device active | state) for the device columns `cols`, shape
+    (2^N, len(cols)); expm1 keeps it finite where 1 - prod(1 - q) is 0."""
+    low, high = _evidence_halves(config)
+    t = (high[:, None, cols] + low[None, :, cols]).reshape(config.n_states, -1)
     with np.errstate(divide="ignore"):
-        np.log(x, out=x)
-    return np.maximum(x, _LOG_FLOOR, out=x)
-
-
-def _log_active(silent_given_on: np.ndarray) -> np.ndarray:
-    """log P(device active | state) from the per-process factors
-    P(device silent | process On) = 1 - q: (N,) gives (2^N,), (N, K) gives
-    (2^N, K)."""
-    t = _state_products(np.ones_like(silent_given_on), silent_given_on)
-    return _floored_log(np.subtract(1.0, t, out=t))
+        np.log(np.negative(np.expm1(t, out=t), out=t), out=t)
+    return np.maximum(t, _LOG_FLOOR, out=t)
 
 
 def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     """Log-likelihood of the slot's evidence for every state, shape (2^N,),
     or None when no device is observed. Active devices add their columns of
     the log P(active | state) table, cached up to _TABLE_MAX_ENTRIES. Silent
-    devices factor over processes (QuickScore): each On process n adds
-    c[n] = sum of log(1 - q[n, k]) over silent k, split as in _forecast_halves."""
+    devices factor over the two process halves (QuickScore; Heckerman 1989)."""
     active = obs == OBSERVED_ACTIVE
     silent = obs == OBSERVED_SILENT
     if not (active.any() or silent.any()):
         return None
     if config.n_states * config.n_devices <= _TABLE_MAX_ENTRIES:
-        table = config.cached("belief.log_active_table", lambda: _log_active(1.0 - config.q))
+        table = config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
         le = table @ active.astype(float)
     else:
         le = np.zeros(config.n_states)
         for k in np.flatnonzero(active):
-            le += _log_active(1.0 - config.q[:, k])
-    log_silent = config.cached("belief.log_silent", lambda: _floored_log(1.0 - config.q))
-    c = log_silent @ silent.astype(float)
-    h = config.n_processes // 2
-    # bits[s, n] = bit n of half-state s: process n's factor is 0 Off, 1 On
-    low, high = config.cached("belief.bit_halves", lambda: tuple(
-        _state_products(1.0 - np.eye(m), np.ones((m, m))) for m in (h, config.n_processes - h)
-    ))
-    le += ((high @ c[h:])[:, None] + low @ c[:h]).reshape(-1)
+            le += _log_active(config, [k])[:, 0]
+    low, high = _evidence_halves(config)
+    s = silent.astype(float)
+    le += ((high @ s)[:, None] + low @ s).reshape(-1)
     return le
 
 
@@ -231,25 +226,20 @@ def forward_update(
     return BeliefState(w, belief.log_scale + math.log(total) + m)
 
 
-def most_likely_state(belief: BeliefState) -> np.ndarray:
-    """Posterior-mode state; ties go to the lowest state index."""
-    idx = int(np.argmax(belief.weights))
-    return state_bits(idx, belief.n_processes)
-
-
 def device_forecast(
     belief: BeliefState, config: ScenarioConfig, mode: str = "map_state"
 ) -> np.ndarray:
     """Per-device next-slot activity probabilities under the current belief.
 
     "map_state" evaluates the one-step predictor at the posterior-mode state
-    (the default scheduling rule); "marginal" averages the predictor over the
-    whole posterior instead of committing to one state.
+    (lowest index on ties; the default scheduling rule); "marginal" averages
+    it over the whole posterior. Both read the _forecast_halves tables.
     """
+    low, high = _forecast_halves(config)
     if mode == "map_state":
-        return predict_activation_probs(most_likely_state(belief), config)
+        s_high, s_low = divmod(int(np.argmax(belief.weights)), low.shape[0])
+        return 1.0 - low[s_low] * high[s_high]
     if mode == "marginal":
-        low, high = _forecast_halves(config)
         w = belief.weights.reshape(high.shape[0], low.shape[0])
         return 1.0 - ((w @ low) * high).sum(axis=0)
     raise ValueError(f"unknown forecast mode {mode!r}; expected 'map_state' or 'marginal'")

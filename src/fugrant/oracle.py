@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belief as belief_mod
-from .belief import OBSERVED_ACTIVE, UNOBSERVED
+from .belief import OBSERVED_ACTIVE, UNOBSERVED, BeliefState
 from .model import (
     MAX_SEED,
     ConfigurationError,
@@ -26,6 +26,7 @@ from .model import (
     sample_activations,
     sample_scenario,
     state_bits,
+    state_index,
     stationary_on_probs,
     step_processes,
 )
@@ -71,12 +72,17 @@ def stationary_joint(config: ScenarioConfig) -> np.ndarray:
 
 
 def _log_emission_by_sum(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Per-state evidence log-likelihood, an `fsum` over observed devices."""
+    """Per-state evidence log-likelihood, one `fsum` over observed devices:
+    log P(silent) sums log1p(-q) over the state's On processes, and
+    log P(active) = log(-expm1(log P(silent))) stays finite for tiny q."""
+    seen = obs != UNOBSERVED
     le = np.empty(config.n_states)
     for s in range(config.n_states):
-        p = activation_probs(state_bits(s, config.n_processes), config)
-        like = np.where(obs == OBSERVED_ACTIVE, p, 1.0 - p)[obs != UNOBSERVED]
-        le[s] = math.fsum(math.log(x) if x > 0.0 else -math.inf for x in like)
+        on = state_bits(s, config.n_processes).astype(bool)
+        with np.errstate(divide="ignore"):
+            log_silent = np.log1p(-config.q[on][:, seen]).sum(axis=0)
+            log_active = np.log(-np.expm1(log_silent))
+        le[s] = math.fsum(np.where(obs[seen] == OBSERVED_ACTIVE, log_active, log_silent))
     return le
 
 
@@ -173,9 +179,10 @@ def forward_filter_deviation(
 
 
 def predictor_deviation(seed: int, max_n: int = 6) -> float:
-    """Gap between the one-step predictor the policies run
-    (`predict_activation_probs`) and next-state enumeration on one random
-    (scenario, state, device) triple."""
+    """Largest gap to next-state enumeration on one random (scenario, state,
+    device) triple, over the one-step predictors the policies run: the
+    genie's `predict_activation_probs`, and the fu policies' "map_state"
+    `device_forecast` of a belief that puts all its mass on the state."""
     rng = rng_stream(seed, 0, "oracle-predictor")
     n = int(rng.integers(1, max_n + 1))
     k_count = int(rng.integers(1, 5))
@@ -183,8 +190,11 @@ def predictor_deviation(seed: int, max_n: int = 6) -> float:
     state = rng.integers(0, 2, size=n).astype(np.uint8)
     k = int(rng.integers(0, k_count))
     closed = predict_activation_probs(state, config)[k]
+    point_mass = np.zeros(config.n_states)
+    point_mass[state_index(state)] = 1.0
+    forecast = belief_mod.device_forecast(BeliefState(point_mass), config, "map_state")[k]
     brute = predicted_activation_by_enumeration(state, k, config)
-    return abs(closed - brute)
+    return max(abs(closed - brute), abs(forecast - brute))
 
 
 @dataclass

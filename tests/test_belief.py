@@ -1,6 +1,7 @@
 """Belief tracker tests: exact filtering, censoring, capacity, forecasts."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from fugrant.belief import (
     entropy,
     forward_update,
     init_belief,
-    most_likely_state,
     unnormalized_joint,
 )
 from fugrant.model import (
@@ -31,7 +31,6 @@ from fugrant.model import (
     sample_activations,
     sample_scenario,
     state_bits,
-    state_index,
     stationary_on_probs,
     step_processes,
 )
@@ -40,6 +39,7 @@ from fugrant.oracle import (
     enumerate_forward_log_joint,
     forward_filter_deviation,
     predicted_activation_by_enumeration,
+    predictor_deviation,
     random_filtering_instance,
 )
 from fugrant.policies import observe_feedback, observe_limited
@@ -137,6 +137,16 @@ class TestEmission:
         assert "belief.log_active_table" not in cfg2._cache
         np.testing.assert_allclose(with_table, without_table, atol=1e-14)
 
+    def test_per_device_path_caches_only_half_width_tables(self, monkeypatch):
+        monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
+        cfg = make_scenario(n=20, k=4, seed=13)
+        obs = np.array([1, 0, -1, 1], dtype=np.int8)
+        belief = forward_update(init_belief(cfg), obs, cfg)
+        assert belief.weights.sum() == pytest.approx(1.0)
+        limit = 2 ** ((cfg.n_processes + 1) // 2) * cfg.n_devices
+        cached = [a for v in cfg._cache.values() for a in (v if isinstance(v, tuple) else (v,))]
+        assert cached and max(a.size for a in cached) <= limit
+
 
 class TestForwardUpdate:
     def test_normalized_after_evidence(self):
@@ -207,6 +217,19 @@ class TestForwardUpdate:
         monkeypatch.setattr("fugrant.belief.forward_update", off_by_1e6)
         assert forward_filter_deviation(cfg, observations) > 1e-9
 
+    def test_tiny_q_activation_stays_possible(self):
+        # 1 - (1 - q) rounds to 0 for q = 1e-20, but P(active) is 1e-20 per
+        # On process, so seeing device 0 active only rules out all-Off
+        cfg = make_scenario(n=2, k=3, seed=0)
+        q = np.array(cfg.q)
+        q[:, 0] = 1e-20
+        cfg = cfg.replace(q=q)
+        obs = np.array([OBSERVED_ACTIVE, UNOBSERVED, OBSERVED_SILENT], dtype=np.int8)
+        belief = forward_update(init_belief(cfg), obs, cfg)
+        assert forward_filter_deviation(cfg, [obs]) <= 1e-9
+        assert belief.weights[0] == 0.0
+        assert math.isfinite(belief.log_scale)
+
     def test_contradiction_raises(self):
         # device 0 can only activate when process 0 is On, and process 0 is
         # frozen Off, so seeing it active is impossible
@@ -270,22 +293,36 @@ class TestForwardUpdate:
 
 class TestMapState:
     def test_argmax_and_tie_break(self):
-        mode = most_likely_state(BeliefState(np.array([0.1, 0.5, 0.3, 0.1])))
-        assert state_index(mode) == 1
+        cfg = make_scenario(n=2, k=4, seed=9)
+        rows = [predict_activation_probs(state_bits(s, 2), cfg) for s in range(cfg.n_states)]
+
+        def forecast_state(weights):
+            forecast = device_forecast(BeliefState(np.array(weights)), cfg, "map_state")
+            return int(np.argmin([np.abs(forecast - row).max() for row in rows]))
+
+        assert forecast_state([0.1, 0.5, 0.3, 0.1]) == 1
         # equal maxima resolve to the lowest state index
-        tied = most_likely_state(BeliefState(np.array([0.3, 0.3, 0.3, 0.1])))
-        assert state_index(tied) == 0
+        assert forecast_state([0.1, 0.3, 0.3, 0.3]) == 1
+        assert forecast_state([0.3, 0.3, 0.3, 0.1]) == 0
 
 
 class TestDeviceForecast:
     def test_map_state_mode(self):
-        cfg = make_scenario(n=3, k=4, seed=9)
-        belief = init_belief(cfg)
-        map_bits = most_likely_state(belief)
-        np.testing.assert_allclose(
-            device_forecast(belief, cfg, "map_state"),
-            predict_activation_probs(map_bits, cfg),
-        )
+        # the MAP state sets the lowest and the highest process bit, so it
+        # reads both half-width tables once n >= 2; n=1 leaves the low half
+        # empty and odd n splits the bits unequally
+        for n in (1, 2, 3, 4, 7):
+            cfg = make_scenario(n=n, k=4, seed=9)
+            map_idx = 1 | (1 << (n - 1))
+            weights = np.full(cfg.n_states, 0.5 / cfg.n_states)
+            weights[map_idx] += 0.5
+            np.testing.assert_allclose(
+                device_forecast(BeliefState(weights), cfg, "map_state"),
+                predict_activation_probs(state_bits(map_idx, n), cfg),
+                rtol=0,
+                atol=1e-12,
+                err_msg=f"n={n}",
+            )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_marginal_mode_weights_all_states(self, n):
@@ -363,6 +400,18 @@ class TestEdgeValues:
                 assert abs(
                     closed[k] - predicted_activation_by_enumeration(state, k, cfg)
                 ) <= 1e-12
+
+
+class TestPredictorOracle:
+    def test_forecast_off_by_1e9_is_caught(self, monkeypatch):
+        assert predictor_deviation(3) <= 1e-12
+        original = device_forecast
+
+        def off_by_1e9(belief, config, mode="map_state"):
+            return original(belief, config, mode) + 1e-9
+
+        monkeypatch.setattr("fugrant.belief.device_forecast", off_by_1e9)
+        assert predictor_deviation(3) > 1e-12
 
 
 class TestEntropy:
