@@ -35,6 +35,7 @@ from fugrant.model import (
     step_processes,
 )
 from fugrant.oracle import (
+    _bit_transition_prob,
     dense_transition_matrix,
     enumerate_forward_log_joint,
     forward_filter_deviation,
@@ -74,7 +75,7 @@ class TestInitBelief:
 
 
 class TestPredictStep:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_dense_transition_matrix(self, n):
         cfg = make_scenario(n=n, k=2, seed=n)
         rng = np.random.default_rng(n + 10)
@@ -85,6 +86,33 @@ class TestPredictStep:
             np.testing.assert_allclose(
                 _predict(w, cfg), transition @ w, atol=1e-12
             )
+
+    @pytest.mark.parametrize("n", [10, 11, 16])
+    def test_columns_match_per_process_transitions(self, n):
+        # the dense matrix is out of reach here, so check whole columns
+        # (one-hot inputs) against a product over processes; eps of exactly
+        # 0 and 1 sit in the first group, on both sides of the first group
+        # boundary (processes 4 and 5) and in the last group
+        rng = np.random.default_rng(n)
+        eps0, eps1 = rng.random(n), rng.random(n)
+        eps0[[0, 5, n - 1]] = [0.0, 1.0, 1.0]
+        eps1[[1, 4, n - 2]] = [1.0, 0.0, 0.0]
+        cfg = ScenarioConfig(
+            n_processes=n, n_devices=1, n_slots=1, horizon=1,
+            eps0=eps0, eps1=eps1, q=np.full((n, 1), 0.5),
+        )
+        new_bits = (np.arange(cfg.n_states)[:, None] >> np.arange(n)) & 1
+        olds = [0, 1, 1 << 5, 1 << (n - 1), cfg.n_states - 1, *rng.integers(cfg.n_states, size=3)]
+        for old in olds:
+            old_bits = state_bits(int(old), n)
+            per_process = np.array([
+                [_bit_transition_prob(int(old_bits[j]), new, eps0[j], eps1[j]) for new in (0, 1)]
+                for j in range(n)
+            ])
+            expected = per_process[np.arange(n), new_bits].prod(axis=1)
+            one_hot = np.zeros(cfg.n_states)
+            one_hot[old] = 1.0
+            np.testing.assert_allclose(_predict(one_hot, cfg), expected, rtol=0, atol=1e-12)
 
     def test_preserves_mass(self):
         cfg = make_scenario(n=4, k=2)
@@ -229,6 +257,15 @@ class TestForwardUpdate:
         assert forward_filter_deviation(cfg, [obs]) <= 1e-9
         assert belief.weights[0] == 0.0
         assert math.isfinite(belief.log_scale)
+
+    def test_belief_of_another_size_rejected(self):
+        cfg10, cfg11 = make_scenario(n=10, k=4), make_scenario(n=11, k=4)
+        belief = init_belief(cfg11)
+        with pytest.raises(ValueError, match=r"belief weights must have shape \(1024,\)"):
+            forward_update(belief, all_unobserved(4), cfg10)
+        for mode in ("map_state", "marginal"):
+            with pytest.raises(ValueError, match=r"belief weights must have shape \(1024,\)"):
+                device_forecast(belief, cfg10, mode)
 
     def test_contradiction_raises(self):
         # device 0 can only activate when process 0 is On, and process 0 is

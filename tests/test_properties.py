@@ -66,7 +66,7 @@ def test_predictor_matches_next_state_marginalization(seed):
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
 def test_predict_step_preserves_probability_mass(seed, n):
     cfg = sample_scenario(n, 2, 1, 5, 0.5, np.random.default_rng(seed), seed=0)
     w = np.random.default_rng(seed + 1).dirichlet(np.ones(cfg.n_states))
