@@ -1,12 +1,12 @@
 """Episode orchestration and Monte-Carlo aggregation.
 
-One episode advances a single ground-truth trajectory and runs every
-requested policy against it in lockstep (a paired comparison): the fast
-uplink variants keep their own belief trackers fed by their own
-observations, the genie reads the true state, TDD counts slots, and random
-access needs no decision at all. Grants for slot t are decided from
-information available through slot t-1; only then is the trajectory
-advanced and the new activity revealed.
+One episode first draws a single ground-truth trajectory, T * (N + K) bytes
+that no policy influences, and then runs each requested policy alone over
+it (a paired comparison): the fast uplink variants keep their own belief
+tracker fed by their own observations, the genie reads the true state, TDD
+counts slots, and random access needs no decision at all. Grants for slot
+t are decided from information available through slot t-1; only then is
+slot t's activity scored.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
-    BeliefState,
     EvidenceContradictionError,
     device_forecast,
     forward_update,
@@ -99,6 +98,48 @@ def _normalize_policies(policies) -> tuple[str, ...]:
     return tuple(p for p in POLICIES if p in requested)
 
 
+def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[str, np.ndarray]:
+    """One policy's metric series over the drawn trajectory, all its state kept local."""
+    k, l = config.n_devices, config.n_slots
+    acc = MetricsAccumulator(n_devices=k, n_slots=l)
+    belief = init_belief(config) if policy in ("fu_limited", "fu_feedback") else None
+    series = {s: np.zeros(activity.shape[0]) for s in SERIES}
+    for col, activations in enumerate(activity):
+        t = col + 1
+        if policy == "ra":
+            report = ra_report(activations, ra_attempt(activations, l, ra_rng), l)
+        elif policy == "tdd":
+            report = slot_report(activations, tdd_grant(col, k, l))
+        elif policy == "genie":
+            grants = genie_grant(states[col], config, l, device_ages(acc, col))
+            report = slot_report(activations, grants)
+        else:  # fu_limited, fu_feedback: decide from the belief through slot t-1
+            forecast = device_forecast(belief, config, belief_mode)
+            grants = fu_grant(forecast, l, device_ages(acc, col))
+            report = slot_report(activations, grants)
+            if policy == "fu_limited":
+                obs = observe_limited(grants, activations)
+            else:
+                obs = observe_feedback(activations)
+            try:
+                belief = forward_update(belief, obs, config)
+            except EvidenceContradictionError:
+                log.warning(
+                    "slot %d: %s evidence contradicts the model, tracker reset to prior",
+                    t,
+                    policy,
+                )
+                belief = init_belief(config)
+
+        acc.advance(report)
+        series["regret_slot"][col] = report.regret
+        series["regret_cum"][col] = acc.cum_regret
+        series["usage_avg"][col] = average_usage(acc)
+        series["aoi_avg"][col] = average_age(acc, t)
+        series["aoi_peak"][col] = peak_age(acc, t)
+    return series
+
+
 def run_episode(
     config: ScenarioConfig,
     policies,
@@ -110,76 +151,33 @@ def run_episode(
 
     The generator is split into a trajectory stream and a random-access
     stream, so the ground truth is identical no matter which policies are
-    requested. Belief trackers are per policy and never see each other's
-    observations.
+    requested. The trajectory is drawn first and held as uint8 arrays,
+    T * (N + K) bytes plus the N-byte start; then each policy runs alone
+    over it, so belief trackers never see each other's observations.
     """
     policies = _normalize_policies(policies)
-    n, k, l, horizon = config.n_processes, config.n_devices, config.n_slots, config.horizon
+    if belief_mode not in ("map_state", "marginal"):
+        raise ConfigurationError(
+            f"unknown belief_mode {belief_mode!r}; expected 'map_state' or 'marginal'"
+        )
     truth_rng, ra_rng = rng.spawn(2)
+    n, k, horizon = config.n_processes, config.n_devices, config.horizon
 
-    state = (truth_rng.random(n) < stationary_on_probs(config)).astype(np.uint8)
-    beliefs: dict[str, BeliefState] = {
-        p: init_belief(config) for p in policies if p in ("fu_limited", "fu_feedback")
-    }
-    accs = {p: MetricsAccumulator(n_devices=k, n_slots=l) for p in policies}
-    series = {p: {s: np.zeros(horizon) for s in SERIES} for p in policies}
+    # Row t of states is slot t's hidden state (row 0 the stationary start).
+    states = np.empty((horizon + 1, n), dtype=np.uint8)
+    activity = np.empty((horizon, k), dtype=np.uint8)  # row t - 1: slot t
+    states[0] = truth_rng.random(n) < stationary_on_probs(config)
     hasher = hashlib.sha256()
-
     for t in range(1, horizon + 1):
-        # Decide grants from information available through slot t-1.
-        grants: dict[str, np.ndarray] = {}
-        for p in policies:
-            if p == "ra":
-                continue
-            if p == "tdd":
-                grants[p] = tdd_grant(t - 1, k, l)
-            elif p == "genie":
-                grants[p] = genie_grant(state, config, l, device_ages(accs[p], t - 1))
-            else:
-                forecast = device_forecast(beliefs[p], config, belief_mode)
-                grants[p] = fu_grant(forecast, l, device_ages(accs[p], t - 1))
+        states[t] = step_processes(states[t - 1], config, truth_rng)
+        activity[t - 1] = sample_activations(states[t], config, truth_rng)
+        hasher.update(states[t].tobytes() + activity[t - 1].tobytes())
 
-        # Advance the shared ground truth and reveal slot t's activity.
-        state = step_processes(state, config, truth_rng)
-        activations = sample_activations(state, config, truth_rng)
-        outcome = ra_attempt(activations, l, ra_rng) if "ra" in accs else None
-
-        hasher.update(state.tobytes() + activations.tobytes())
-        col = t - 1
-        for p in policies:
-            report = (
-                ra_report(activations, outcome, l)
-                if p == "ra"
-                else slot_report(activations, grants[p])
-            )
-            acc = accs[p]
-            acc.advance(report)
-            series[p]["regret_slot"][col] = report.regret
-            series[p]["regret_cum"][col] = acc.cum_regret
-            series[p]["usage_avg"][col] = average_usage(acc)
-            series[p]["aoi_avg"][col] = average_age(acc, t)
-            series[p]["aoi_peak"][col] = peak_age(acc, t)
-
-        observations: dict[str, np.ndarray] = {}
-        if "fu_limited" in beliefs:
-            observations["fu_limited"] = observe_limited(grants["fu_limited"], activations)
-        if "fu_feedback" in beliefs:
-            observations["fu_feedback"] = observe_feedback(activations)
-        for p, obs in observations.items():
-            try:
-                beliefs[p] = forward_update(beliefs[p], obs, config)
-            except EvidenceContradictionError:
-                log.warning(
-                    "slot %d: %s evidence contradicts the model, tracker reset to prior",
-                    t,
-                    p,
-                )
-                beliefs[p] = init_belief(config)
-
+    series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
     return EpisodeResult(
         n_processes=n,
         n_devices=k,
-        n_slots=l,
+        n_slots=config.n_slots,
         horizon=horizon,
         seed=config.seed,
         policies=policies,

@@ -1,5 +1,6 @@
 """Episode engine and Monte-Carlo aggregation tests."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -12,7 +13,15 @@ from fugrant.engine import (
     run_episode,
     run_monte_carlo,
 )
-from fugrant.model import ConfigurationError, ScenarioTemplate, rng_stream, sample_scenario
+from fugrant.model import (
+    ConfigurationError,
+    ScenarioTemplate,
+    rng_stream,
+    sample_activations,
+    sample_scenario,
+    stationary_on_probs,
+    step_processes,
+)
 from fugrant.policies import POLICIES
 
 SMALL = dict(n_processes=3, n_devices=8, n_slots=3, horizon=40)
@@ -58,16 +67,30 @@ class TestRunEpisode:
             assert part.trajectory_fingerprint == full.trajectory_fingerprint
 
     def test_belief_policy_isolation(self):
-        # fu_limited's series must not change when fu_feedback runs alongside
+        # no policy's series may change when the others run alongside: the
+        # belief trackers, random access's own stream and the genie included
         cfg = small_config(seed=4)
-        alone = run_episode(cfg, ["fu_limited"], rng_stream(4, 0, "episode"))
-        together = run_episode(
-            cfg, ["fu_limited", "fu_feedback"], rng_stream(4, 0, "episode")
-        )
-        for s in SERIES:
-            np.testing.assert_array_equal(
-                alone.series["fu_limited"][s], together.series["fu_limited"][s]
-            )
+        together = run_episode(cfg, POLICIES, rng_stream(4, 0, "episode"))
+        for p in POLICIES:
+            alone = run_episode(cfg, [p], rng_stream(4, 0, "episode"))
+            for s in SERIES:
+                np.testing.assert_array_equal(
+                    alone.series[p][s], together.series[p][s], err_msg=f"{p} {s}"
+                )
+
+    def test_fingerprint_hashes_each_slot_of_the_truth_stream(self):
+        # rebuilt by hand: the first spawned stream draws the stationary
+        # start, then each slot's states and activity, hashed slot by slot
+        cfg = small_config(seed=2)
+        truth_rng = rng_stream(2, 0, "episode").spawn(2)[0]
+        state = (truth_rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
+        hasher = hashlib.sha256()
+        for _ in range(cfg.horizon):
+            state = step_processes(state, cfg, truth_rng)
+            activations = sample_activations(state, cfg, truth_rng)
+            hasher.update(state.tobytes() + activations.tobytes())
+        res = run_episode(cfg, ["tdd"], rng_stream(2, 0, "episode"))
+        assert res.trajectory_fingerprint == hasher.hexdigest()
 
     def test_policy_order_is_canonical(self):
         cfg = small_config()
@@ -210,6 +233,12 @@ class TestRunMonteCarlo:
     def test_non_integer_runs_or_seed_rejected(self, key, runs, seed):
         with pytest.raises(ConfigurationError, match=key):
             run_monte_carlo(small_config(), runs=runs, master_seed=seed, policies=["ra"])
+
+    @pytest.mark.parametrize("policies", [["ra", "tdd"], ["fu_limited"]])
+    def test_unknown_belief_mode_rejected(self, policies):
+        tpl = ScenarioTemplate(n_processes=3, n_devices=8, n_slots=3, horizon=10)
+        with pytest.raises(ConfigurationError, match="belief_mode"):
+            run_monte_carlo(tpl, 1, 0, policies, belief_mode="bogus")
 
     def test_belief_mode_forwarded(self):
         cfg = small_config(seed=6, horizon=30)
