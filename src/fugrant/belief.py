@@ -32,6 +32,9 @@ UNOBSERVED = -1
 
 MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 
+# The modes of device_forecast, also the engine's and CLI's belief modes.
+FORECAST_MODES = ("map_state", "marginal")
+
 # The (2^N, K) log-activation table is cached only up to this many entries
 # (64 MiB); past it each active device's column is rebuilt per slot from the
 # half-width tables, which keeps the emission in O(2^N) transient memory.
@@ -257,4 +260,5 @@ def device_forecast(
     if mode == "marginal":
         w = belief.weights.reshape(high.shape[0], low.shape[0])
         return 1.0 - ((w @ low) * high).sum(axis=0)
-    raise ValueError(f"unknown forecast mode {mode!r}; expected 'map_state' or 'marginal'")
+    expected = " or ".join(map(repr, FORECAST_MODES))
+    raise ValueError(f"unknown forecast mode {mode!r}; expected {expected}")

@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 
+from .belief import FORECAST_MODES
 from .engine import SERIES, AggregateResult, run_monte_carlo
 from .model import (
     MAX_SEED,
@@ -56,16 +57,20 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file beside `path`; an OSError names `path`,
+    the file the user asked for, not the temporary one."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fugrant-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fugrant-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _slot_range(result: AggregateResult, emit: str) -> range:
@@ -209,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", required=True, help="output file path")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument(
-        "--belief-mode", choices=("map_state", "marginal"), default="map_state"
-    )
+    run.add_argument("--belief-mode", choices=FORECAST_MODES, default="map_state")
     run.add_argument(
         "--fixed-scenario",
         action="store_true",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
+    FORECAST_MODES,
     EvidenceContradictionError,
     device_forecast,
     forward_update,
@@ -62,11 +63,7 @@ SERIES = ("regret_slot", "regret_cum", "usage_avg", "aoi_avg", "aoi_peak")
 class EpisodeResult:
     """Per-slot metric series for every policy on one shared trajectory."""
 
-    n_processes: int
-    n_devices: int
-    n_slots: int
     horizon: int
-    seed: int
     policies: tuple[str, ...]
     series: dict[str, dict[str, np.ndarray]]
     trajectory_fingerprint: str  # SHA-256 of the per-slot states and activity
@@ -105,17 +102,16 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
     belief = init_belief(config) if policy in ("fu_limited", "fu_feedback") else None
     series = {s: np.zeros(activity.shape[0]) for s in SERIES}
     for col, activations in enumerate(activity):
-        t = col + 1
         if policy == "ra":
             report = ra_report(activations, ra_attempt(activations, l, ra_rng), l)
         elif policy == "tdd":
             report = slot_report(activations, tdd_grant(col, k, l))
         elif policy == "genie":
-            grants = genie_grant(states[col], config, l, device_ages(acc, col))
+            grants = genie_grant(states[col], config, l, device_ages(acc))
             report = slot_report(activations, grants)
         else:  # fu_limited, fu_feedback: decide from the belief through slot t-1
             forecast = device_forecast(belief, config, belief_mode)
-            grants = fu_grant(forecast, l, device_ages(acc, col))
+            grants = fu_grant(forecast, l, device_ages(acc))
             report = slot_report(activations, grants)
             if policy == "fu_limited":
                 obs = observe_limited(grants, activations)
@@ -126,7 +122,7 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
             except EvidenceContradictionError:
                 log.warning(
                     "slot %d: %s evidence contradicts the model, tracker reset to prior",
-                    t,
+                    col + 1,
                     policy,
                 )
                 belief = init_belief(config)
@@ -135,8 +131,8 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
         series["regret_slot"][col] = report.regret
         series["regret_cum"][col] = acc.cum_regret
         series["usage_avg"][col] = average_usage(acc)
-        series["aoi_avg"][col] = average_age(acc, t)
-        series["aoi_peak"][col] = peak_age(acc, t)
+        series["aoi_avg"][col] = average_age(acc)
+        series["aoi_peak"][col] = peak_age(acc)
     return series
 
 
@@ -156,10 +152,9 @@ def run_episode(
     over it, so belief trackers never see each other's observations.
     """
     policies = _normalize_policies(policies)
-    if belief_mode not in ("map_state", "marginal"):
-        raise ConfigurationError(
-            f"unknown belief_mode {belief_mode!r}; expected 'map_state' or 'marginal'"
-        )
+    if belief_mode not in FORECAST_MODES:
+        expected = " or ".join(map(repr, FORECAST_MODES))
+        raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
     truth_rng, ra_rng = rng.spawn(2)
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
 
@@ -175,11 +170,7 @@ def run_episode(
 
     series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
     return EpisodeResult(
-        n_processes=n,
-        n_devices=k,
-        n_slots=config.n_slots,
         horizon=horizon,
-        seed=config.seed,
         policies=policies,
         series=series,
         trajectory_fingerprint=hasher.hexdigest(),

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policies import RaOutcome
-
 
 @dataclass
 class SlotReport:
@@ -47,14 +45,15 @@ def slot_report(activations: np.ndarray, grants: np.ndarray) -> SlotReport:
     )
 
 
-def ra_report(activations: np.ndarray, outcome: RaOutcome, n_slots: int) -> SlotReport:
-    """Score one random-access round with the same regret semantics.
+def ra_report(activations: np.ndarray, success: np.ndarray, n_slots: int) -> SlotReport:
+    """Score one random-access round, given `ra_attempt`'s success vector,
+    with the same regret semantics.
 
     Random access issues no grant vector, so wasted slots are those no
     device won (n_slots - successes) and missed devices are the actives
     whose attempt collided.
     """
-    successes = int(outcome.success.sum())
+    successes = int(success.sum())
     active = int(np.asarray(activations).sum())
     wrong = n_slots - successes
     missed = active - successes
@@ -62,7 +61,7 @@ def ra_report(activations: np.ndarray, outcome: RaOutcome, n_slots: int) -> Slot
         wrong=wrong,
         missed=missed,
         regret=min(wrong, missed),
-        served=outcome.success,
+        served=success,
     )
 
 
@@ -99,13 +98,14 @@ def average_usage(acc: MetricsAccumulator) -> float:
     return acc.cum_used_slots / (acc.t * acc.n_slots)
 
 
-def device_ages(acc: MetricsAccumulator, t: int) -> np.ndarray:
-    return t - acc.last_served
+def device_ages(acc: MetricsAccumulator) -> np.ndarray:
+    """Slots since each device's last success, at the accumulator's clock."""
+    return acc.t - acc.last_served
 
 
-def average_age(acc: MetricsAccumulator, t: int) -> float:
-    return float(device_ages(acc, t).mean())
+def average_age(acc: MetricsAccumulator) -> float:
+    return float(device_ages(acc).mean())
 
 
-def peak_age(acc: MetricsAccumulator, t: int) -> int:
-    return int(device_ages(acc, t).max())
+def peak_age(acc: MetricsAccumulator) -> int:
+    return int(device_ages(acc).max())

@@ -14,7 +14,6 @@ bit, and the bit vector [1, 0, 1] is index 5.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -54,12 +53,36 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def _check_unit_interval(name: str, arr: np.ndarray) -> None:
-    bad = ~((arr >= 0.0) & (arr <= 1.0))  # also catches NaN
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _probabilities(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`value` as a read-only float64 copy of `shape`; ConfigurationError
+    naming the first entry that is not a number in [0, 1]. Bools, strings
+    and nulls are not numbers here, although numpy would coerce them."""
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
+    try:
+        entries = value if numeric else np.array(value, dtype=object)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be a numeric array: {exc}") from exc
+    if entries.shape != shape:
+        raise ConfigurationError(f"{name} must have shape {shape}, got {entries.shape}")
+    if numeric:
+        bad = ~((entries >= 0.0) & (entries <= 1.0))  # NaN compares false
+    else:
+        with np.errstate(invalid="ignore"):  # NaN compares false
+            ok = np.frompyfunc(lambda x: _is_real(x) and 0 <= x <= 1, 1, 1)(entries)
+        bad = ~ok.astype(bool)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         path = name + "".join(f"[{i}]" for i in idx)
-        raise ConfigurationError(f"{path} = {arr[idx]} is outside [0, 1]")
+        entry = entries[idx].item() if numeric else entries[idx]
+        problem = "is outside [0, 1]" if _is_real(entry) else "is not a number"
+        raise ConfigurationError(f"{path} = {entry!r} {problem}")
+    arr = entries.astype(np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 _CONFIG_KEYS = ("n_processes", "n_devices", "n_slots", "horizon", "seed", "eps0", "eps1", "q")
@@ -105,22 +128,12 @@ class ScenarioConfig:
         object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 0))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0, MAX_SEED))
 
-        for name, expected in (
+        for name, shape in (
             ("eps0", (self.n_processes,)),
             ("eps1", (self.n_processes,)),
             ("q", (self.n_processes, self.n_devices)),
         ):
-            try:
-                arr = np.array(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{name} must be a numeric array: {exc}") from exc
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"{name} must have shape {expected}, got {arr.shape}"
-                )
-            _check_unit_interval(name, arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _probabilities(name, getattr(self, name), shape))
 
     @property
     def n_states(self) -> int:
@@ -131,9 +144,6 @@ class ScenarioConfig:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    def replace(self, **changes) -> "ScenarioConfig":
-        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         return {

@@ -171,13 +171,6 @@ def forward_filter_gaps(
     return tuple(np.nan_to_num(gaps, nan=np.inf).tolist())
 
 
-def forward_filter_deviation(
-    config: ScenarioConfig, observations: list[np.ndarray]
-) -> float:
-    """The larger of the two `forward_filter_gaps`."""
-    return max(forward_filter_gaps(config, observations))
-
-
 def predictor_deviation(seed: int, max_n: int = 6) -> float:
     """Largest gap to next-state enumeration on one random (scenario, state,
     device) triple, over the one-step predictors the policies run: the

@@ -8,8 +8,6 @@ a genie that reads the true process states (`genie`), round-robin TDD
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .belief import UNOBSERVED
@@ -17,18 +15,6 @@ from .model import ScenarioConfig, predict_activation_probs
 
 # Stable policy identifiers, as used by the CLI and output files.
 POLICIES = ("ra", "tdd", "fu_limited", "fu_feedback", "genie")
-
-
-@dataclass
-class RaOutcome:
-    """Result of one slotted-ALOHA round.
-
-    occupancy[j] counts devices that picked transmission slot j; success[k]
-    is 1 iff device k attempted and was alone in its slot.
-    """
-
-    occupancy: np.ndarray
-    success: np.ndarray
 
 
 def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
@@ -65,15 +51,16 @@ def genie_grant(
 
 def ra_attempt(
     activations: np.ndarray, n_slots: int, rng: np.random.Generator
-) -> RaOutcome:
+) -> np.ndarray:
     """Slotted ALOHA: each active device picks one of n_slots slots uniformly
-    and succeeds iff no other device picked the same slot."""
+    and succeeds iff no other device picked the same slot. Returns the (K,)
+    uint8 success vector."""
     active = np.flatnonzero(activations)
     choices = rng.integers(0, n_slots, size=active.size)
-    occupancy = np.bincount(choices, minlength=n_slots)
+    picks = np.bincount(choices, minlength=n_slots)
     success = np.zeros(activations.shape[0], dtype=np.uint8)
-    success[active[occupancy[choices] == 1]] = 1
-    return RaOutcome(occupancy=occupancy, success=success)
+    success[active[picks[choices] == 1]] = 1
+    return success
 
 
 def observe_limited(grants: np.ndarray, activations: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def test_criterion_7_metric_identities():
         worst = max(worst, rep.regret)
     # usage/AoI identities are exercised per slot inside a full episode
     cfg = PRESETS["fig3"].sample(rng_stream(99, 1, "scenario"), seed=99)
-    cfg = cfg.replace(horizon=200)
+    cfg = dataclasses.replace(cfg, horizon=200)
     res = run_episode(cfg, POLICIES, rng_stream(99, 1, "episode"))
     usage_ok = all(
         np.all((res.series[p]["usage_avg"] >= 0) & (res.series[p]["usage_avg"] <= 1))

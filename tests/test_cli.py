@@ -236,6 +236,27 @@ class TestRun:
         assert "n_processes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [True, "0.5", None], ids=["bool", "numeric-string", "null"])
+    def test_non_number_probability_names_entry(self, config_path, entry, tmp_path, capsys):
+        payload = json.loads(Path(config_path).read_text())
+        payload["eps0"] = [0.1, entry]
+        Path(config_path).write_text(json.dumps(payload))
+        out = tmp_path / "x.csv"
+        assert run_cli("run", "--config", config_path, "--runs", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert config_path in err and "eps0[1]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing/o.csv", "subdir"], ids=["missing-dir", "directory"])
+    def test_unwritable_out_names_given_path(self, target, tmp_path, capsys):
+        (tmp_path / "subdir").mkdir()
+        out = str(tmp_path / target)
+        code = run_cli("run", "--preset", "fig3", "--runs", "1", "--horizon", "3", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert out in err and ".fugrant-" not in err
+        assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+
     def test_no_temp_files_left_behind(self, config_path, tmp_path):
         out = tmp_path / "out.csv"
         run_cli("run", "--config", config_path, "--runs", "1", "--out", str(out))

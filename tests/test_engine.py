@@ -22,7 +22,7 @@ from fugrant.model import (
     stationary_on_probs,
     step_processes,
 )
-from fugrant.policies import POLICIES
+from fugrant.policies import POLICIES, tdd_grant
 
 SMALL = dict(n_processes=3, n_devices=8, n_slots=3, horizon=40)
 
@@ -44,7 +44,6 @@ class TestRunEpisode:
     def test_series_shapes_and_dims(self):
         cfg = small_config()
         res = run_episode(cfg, POLICIES, rng_stream(0, 0, "episode"))
-        assert (res.n_processes, res.n_devices, res.n_slots) == (3, 8, 3)
         assert res.policies == POLICIES
         for p in POLICIES:
             for s in SERIES:
@@ -91,6 +90,33 @@ class TestRunEpisode:
             hasher.update(state.tobytes() + activations.tobytes())
         res = run_episode(cfg, ["tdd"], rng_stream(2, 0, "episode"))
         assert res.trajectory_fingerprint == hasher.hexdigest()
+
+    def test_tdd_series_match_a_recomputation_by_hand(self):
+        # TDD scored by hand on the redrawn activity: regret min(wrong, missed),
+        # usage as used slots / (t * L), and each device's age as t minus the
+        # slot of its last success (0 before any)
+        cfg = small_config(seed=6, horizon=200)
+        k, l = cfg.n_devices, cfg.n_slots
+        truth_rng = rng_stream(6, 0, "episode").spawn(2)[0]
+        state = (truth_rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
+        expected = {s: [] for s in SERIES}
+        used, last_served = 0, np.zeros(k, dtype=np.int64)
+        for t in range(1, cfg.horizon + 1):
+            state = step_processes(state, cfg, truth_rng)
+            active = sample_activations(state, cfg, truth_rng).astype(bool)
+            granted = tdd_grant(t - 1, k, l).astype(bool)
+            wrong, missed = np.sum(granted & ~active), np.sum(active & ~granted)
+            used += np.sum(granted & active)
+            last_served[granted & active] = t
+            ages = t - last_served
+            expected["regret_slot"].append(min(wrong, missed))
+            expected["usage_avg"].append(used / (t * l))
+            expected["aoi_avg"].append(ages.mean())
+            expected["aoi_peak"].append(ages.max())
+        expected["regret_cum"] = np.cumsum(expected["regret_slot"])
+        res = run_episode(cfg, ["tdd"], rng_stream(6, 0, "episode"))
+        for s in SERIES:
+            np.testing.assert_array_equal(res.series["tdd"][s], expected[s], err_msg=s)
 
     def test_policy_order_is_canonical(self):
         cfg = small_config()

@@ -65,18 +65,18 @@ class TestSlotReport:
 class TestRaReport:
     def test_wasted_is_unfilled_slots(self):
         acts = vec(6, [0, 1, 2])
-        outcome = ra_attempt(acts, 4, np.random.default_rng(1))
-        rep = ra_report(acts, outcome, 4)
-        succ = int(outcome.success.sum())
+        success = ra_attempt(acts, 4, np.random.default_rng(1))
+        rep = ra_report(acts, success, 4)
+        succ = int(success.sum())
         assert rep.wrong == 4 - succ
         assert rep.missed == 3 - succ
         assert rep.regret == min(rep.wrong, rep.missed)
-        np.testing.assert_array_equal(rep.served, outcome.success)
+        np.testing.assert_array_equal(rep.served, success)
 
     def test_idle_network(self):
         acts = np.zeros(5, dtype=np.uint8)
-        outcome = ra_attempt(acts, 3, np.random.default_rng(2))
-        rep = ra_report(acts, outcome, 3)
+        success = ra_attempt(acts, 3, np.random.default_rng(2))
+        rep = ra_report(acts, success, 3)
         assert (rep.wrong, rep.missed, rep.regret) == (3, 0, 0)
 
 
@@ -104,26 +104,26 @@ class TestUsage:
 class TestAoi:
     def test_initial_ages_are_zero(self):
         acc = MetricsAccumulator(n_devices=4, n_slots=2)
-        np.testing.assert_array_equal(device_ages(acc, 0), np.zeros(4))
+        np.testing.assert_array_equal(device_ages(acc), np.zeros(4))
 
     def test_age_grows_without_service(self):
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
         for t in (1, 2, 3):
             acc.advance(slot_report(vec(3, ()), vec(3, [0])))
-        np.testing.assert_array_equal(device_ages(acc, 3), [3, 3, 3])
-        assert peak_age(acc, 3) == 3
-        assert average_age(acc, 3) == pytest.approx(3.0)
+        np.testing.assert_array_equal(device_ages(acc), [3, 3, 3])
+        assert peak_age(acc) == 3
+        assert average_age(acc) == pytest.approx(3.0)
 
     def test_service_resets_age(self):
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
         acc.advance(slot_report(vec(3, [1]), vec(3, [1])))  # t=1 serves device 1
         acc.advance(slot_report(vec(3, ()), vec(3, [0])))  # t=2 serves nobody
-        np.testing.assert_array_equal(device_ages(acc, 2), [2, 1, 2])
+        np.testing.assert_array_equal(device_ages(acc), [2, 1, 2])
 
     def test_grant_without_activity_does_not_serve(self):
         acc = MetricsAccumulator(n_devices=2, n_slots=1)
         acc.advance(slot_report(vec(2, ()), vec(2, [0])))
-        np.testing.assert_array_equal(device_ages(acc, 1), [1, 1])
+        np.testing.assert_array_equal(device_ages(acc), [1, 1])
 
     def test_exact_increment_reset_sequence(self):
         rng = np.random.default_rng(4)
@@ -136,9 +136,9 @@ class TestAoi:
             rep = slot_report(acts, grants)
             acc.advance(rep)
             last[rep.served == 1] = t
-            np.testing.assert_array_equal(device_ages(acc, t), t - last)
-            assert peak_age(acc, t) == (t - last).max()
-            assert average_age(acc, t) == pytest.approx((t - last).mean())
+            np.testing.assert_array_equal(device_ages(acc), t - last)
+            assert peak_age(acc) == (t - last).max()
+            assert average_age(acc) == pytest.approx((t - last).mean())
 
 
 class TestAccumulator:

@@ -82,6 +82,22 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match=r"eps1\[0\]"):
             make_config(eps1=[-0.3, 0.4])
 
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("eps0", [True, 0.2], r"eps0\[0\] = True is not a number"),
+            ("eps1", [0.3, "0.5"], r"eps1\[1\] = '0.5' is not a number"),
+            ("q", [[0.5, 0.6, 0.7], [0.2, None, 0.4]], r"q\[1\]\[1\] = None is not a number"),
+            ("eps0", [10**400, 0.2], r"eps0\[0\] = 1000.* is outside \[0, 1\]"),
+        ],
+        ids=["bool", "numeric-string", "null", "int-beyond-float"],
+    )
+    def test_non_number_entry_names_path(self, key, value, path):
+        doc = make_config().to_dict()
+        doc[key] = value
+        with pytest.raises(ConfigurationError, match=path):
+            ScenarioConfig.from_json(json.dumps(doc))
+
     def test_dict_roundtrip(self):
         cfg = make_config()
         clone = ScenarioConfig.from_dict(cfg.to_dict())
@@ -107,9 +123,9 @@ class TestScenarioConfig:
 
     def test_replace_revalidates(self):
         cfg = make_config()
-        assert cfg.replace(horizon=99).horizon == 99
+        assert dataclasses.replace(cfg, horizon=99).horizon == 99
         with pytest.raises(ConfigurationError):
-            cfg.replace(n_slots=10)
+            dataclasses.replace(cfg, n_slots=10)
 
     def test_json_is_plain_types(self):
         payload = json.loads(make_config().to_json())
@@ -122,7 +138,7 @@ class TestScenarioConfig:
         cfg.cached("x", lambda: built.append(1) or "v")
         cfg.cached("x", lambda: built.append(1) or "v")
         assert built == [1]
-        assert "x" not in cfg.replace(horizon=6)._cache
+        assert "x" not in dataclasses.replace(cfg, horizon=6)._cache
 
     def test_arrays_are_read_only_copies(self):
         q = np.array([[0.5, 0.6, 0.7], [0.2, 0.3, 0.4]])
