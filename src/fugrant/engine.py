@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,22 @@ def run_episode(
     requested. The trajectory is drawn first and held as uint8 arrays,
     T * (N + K) bytes plus the N-byte start; then each policy runs alone
     over it, so belief trackers never see each other's observations.
+    Raises ConfigurationError naming the horizon when the trajectory and
+    the metric series would not fit in physical memory.
     """
     policies = _normalize_policies(policies)
     if belief_mode not in FORECAST_MODES:
         expected = " or ".join(map(repr, FORECAST_MODES))
         raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
-    truth_rng, ra_rng = rng.spawn(2)
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
+    need = (horizon + 1) * n + horizon * k + len(policies) * len(SERIES) * 8 * horizon
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"horizon = {horizon} needs {need} bytes for the trajectory and metric "
+            f"series, more than the {have} bytes of physical memory"
+        )
+    truth_rng, ra_rng = rng.spawn(2)
 
     # Row t of states is slot t's hidden state (row 0 the stationary start).
     states = np.empty((horizon + 1, n), dtype=np.uint8)

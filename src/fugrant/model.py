@@ -61,23 +61,19 @@ def _probabilities(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """`value` as a read-only float64 copy of `shape`; ConfigurationError
     naming the first entry that is not a number in [0, 1]. Bools, strings
     and nulls are not numbers here, although numpy would coerce them."""
-    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
     try:
-        entries = value if numeric else np.array(value, dtype=object)
+        entries = np.array(value, dtype=object)
     except ValueError as exc:
         raise ConfigurationError(f"{name} must be a numeric array: {exc}") from exc
     if entries.shape != shape:
         raise ConfigurationError(f"{name} must have shape {shape}, got {entries.shape}")
-    if numeric:
-        bad = ~((entries >= 0.0) & (entries <= 1.0))  # NaN compares false
-    else:
-        with np.errstate(invalid="ignore"):  # NaN compares false
-            ok = np.frompyfunc(lambda x: _is_real(x) and 0 <= x <= 1, 1, 1)(entries)
-        bad = ~ok.astype(bool)
+    with np.errstate(invalid="ignore"):  # NaN compares false
+        ok = np.frompyfunc(lambda x: _is_real(x) and 0 <= x <= 1, 1, 1)(entries)
+    bad = ~ok.astype(bool)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         path = name + "".join(f"[{i}]" for i in idx)
-        entry = entries[idx].item() if numeric else entries[idx]
+        entry = entries[idx]
         problem = "is outside [0, 1]" if _is_real(entry) else "is not a number"
         raise ConfigurationError(f"{path} = {entry!r} {problem}")
     arr = entries.astype(np.float64)
@@ -145,20 +141,16 @@ class ScenarioConfig:
             self._cache[key] = build()
         return self._cache[key]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_processes": self.n_processes,
-            "n_devices": self.n_devices,
-            "n_slots": self.n_slots,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "eps0": self.eps0.tolist(),
-            "eps1": self.eps1.tolist(),
-            "q": self.q.tolist(),
-        }
+    def to_json(self, indent: int | None = 2) -> str:
+        doc = {k: getattr(self, k) for k in _CONFIG_KEYS}
+        return json.dumps(doc, indent=indent, default=np.ndarray.tolist)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioConfig":
+    def from_json(cls, text: str) -> "ScenarioConfig":
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            raise ConfigurationError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"scenario document must be an object, got {type(doc).__name__}")
         missing = [k for k in _CONFIG_KEYS if k not in doc]
@@ -168,17 +160,6 @@ class ScenarioConfig:
         if unknown:
             raise ConfigurationError(f"unknown key: {unknown[0]}")
         return cls(**{k: doc[k] for k in _CONFIG_KEYS})
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise ConfigurationError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -296,14 +277,3 @@ def sample_activations(
         raise ValueError(f"state must have shape ({config.n_processes},), got {state.shape}")
     p = activation_probs(state, config)
     return (rng.random(config.n_devices) < p).astype(np.uint8)
-
-
-def predict_activation_probs(state: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """P(device k active next slot | current process states), for all k.
-
-    Marginalizes each process over its own transition: a device stays silent
-    next slot only if every process either lands Off or fails to activate it,
-    so the per-process silent factor is 1 - P(On next) * q[n, k].
-    """
-    p_on_next = np.where(state.astype(bool), 1.0 - config.eps0, config.eps1)
-    return 1.0 - np.prod(1.0 - p_on_next[:, None] * config.q, axis=0)

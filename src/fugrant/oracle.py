@@ -1,7 +1,7 @@
 """Brute-force reference computations for verifying the fast paths.
 
 Everything here is written the slow, obvious way on purpose: dense
-transition matrices built entry by entry, priors assembled state by state,
+transition matrices over every pair of states, priors assembled state by state,
 and filtering done by literally enumerating every hidden-state path. None
 of it shares code with the factorized filter it checks.
 """
@@ -21,7 +21,6 @@ from .model import (
     ScenarioConfig,
     activation_probs,
     check_int,
-    predict_activation_probs,
     rng_stream,
     sample_activations,
     sample_scenario,
@@ -34,27 +33,14 @@ from .model import (
 _MAX_PATHS = 1 << 24
 
 
-def _bit_transition_prob(old: int, new: int, eps0: float, eps1: float) -> float:
-    if old == 1:
-        return eps0 if new == 0 else 1.0 - eps0
-    return eps1 if new == 1 else 1.0 - eps1
-
-
 def dense_transition_matrix(config: ScenarioConfig) -> np.ndarray:
-    """Full (2^N, 2^N) matrix T[new, old], built per pair of states."""
-    n_states = config.n_states
-    t = np.ones((n_states, n_states))
-    for new in range(n_states):
-        nb = state_bits(new, config.n_processes)
-        for old in range(n_states):
-            ob = state_bits(old, config.n_processes)
-            p = 1.0
-            for n in range(config.n_processes):
-                p *= _bit_transition_prob(
-                    int(ob[n]), int(nb[n]), float(config.eps0[n]), float(config.eps1[n])
-                )
-            t[new, old] = p
-    return t
+    """Full (2^N, 2^N) matrix T[new, old]: for every pair of states, the
+    product over processes of P(new bit | old bit)."""
+    bits = (np.arange(config.n_states)[:, None] >> np.arange(config.n_processes)) & 1
+    old, new = bits[None, :, :], bits[:, None, :]
+    p_on = np.where(old == 1, 1.0 - config.eps0, config.eps1)
+    p_off = np.where(old == 1, config.eps0, 1.0 - config.eps1)
+    return np.where(new == 1, p_on, p_off).prod(axis=2)
 
 
 def stationary_joint(config: ScenarioConfig) -> np.ndarray:
@@ -112,19 +98,15 @@ def enumerate_forward_log_joint(
 
 
 def predicted_activation_by_enumeration(
-    state: np.ndarray, k: int, config: ScenarioConfig
+    weights: np.ndarray, k: int, config: ScenarioConfig
 ) -> float:
-    """P(device k active next slot | state) by summing over all next states."""
-    total = 0.0
-    for nxt in range(config.n_states):
-        nb = state_bits(nxt, config.n_processes)
-        p = 1.0
-        for n in range(config.n_processes):
-            p *= _bit_transition_prob(
-                int(state[n]), int(nb[n]), float(config.eps0[n]), float(config.eps1[n])
-            )
-        total += p * activation_probs(nb, config)[k]
-    return total
+    """P(device k active next slot) under the belief `weights`: the mass of
+    every (current, next) state pair times the next state's activation
+    probability, summed with math.fsum."""
+    active = [activation_probs(state_bits(s, config.n_processes), config)[k]
+              for s in range(config.n_states)]
+    pair_mass = dense_transition_matrix(config) * weights * np.array(active)[:, None]
+    return math.fsum(pair_mass.ravel().tolist())
 
 
 def random_filtering_instance(
@@ -172,22 +154,28 @@ def forward_filter_gaps(
 
 
 def predictor_deviation(seed: int, max_n: int = 6) -> float:
-    """Largest gap to next-state enumeration on one random (scenario, state,
-    device) triple, over the one-step predictors the policies run: the
-    genie's `predict_activation_probs`, and the fu policies' "map_state"
-    `device_forecast` of a belief that puts all its mass on the state."""
+    """Largest gap to next-state enumeration on one random scenario and
+    device, over the forecasts the policies run: the genie's `state_forecast`
+    at a random state, the "map_state" `device_forecast` of a belief that
+    puts all its mass on that state, and the "marginal" `device_forecast` of
+    a random belief."""
     rng = rng_stream(seed, 0, "oracle-predictor")
     n = int(rng.integers(1, max_n + 1))
     k_count = int(rng.integers(1, 5))
     config = sample_scenario(n, k_count, 1, 1, 1.0, rng, seed=seed)
     state = rng.integers(0, 2, size=n).astype(np.uint8)
     k = int(rng.integers(0, k_count))
-    closed = predict_activation_probs(state, config)[k]
     point_mass = np.zeros(config.n_states)
     point_mass[state_index(state)] = 1.0
-    forecast = belief_mod.device_forecast(BeliefState(point_mass), config, "map_state")[k]
-    brute = predicted_activation_by_enumeration(state, k, config)
-    return max(abs(closed - brute), abs(forecast - brute))
+    weights = rng.random(config.n_states)
+    weights /= weights.sum()
+    brute = predicted_activation_by_enumeration(point_mass, k, config)
+    weighted = predicted_activation_by_enumeration(weights, k, config)
+    return max(
+        abs(belief_mod.state_forecast(state, config)[k] - brute),
+        abs(belief_mod.device_forecast(BeliefState(point_mass), config, "map_state")[k] - brute),
+        abs(belief_mod.device_forecast(BeliefState(weights), config, "marginal")[k] - weighted),
+    )
 
 
 @dataclass

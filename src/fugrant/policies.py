@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .belief import UNOBSERVED
-from .model import ScenarioConfig, predict_activation_probs
+from .belief import UNOBSERVED, state_forecast
+from .model import ScenarioConfig
 
 # Stable policy identifiers, as used by the CLI and output files.
 POLICIES = ("ra", "tdd", "fu_limited", "fu_feedback", "genie")
@@ -46,7 +46,7 @@ def genie_grant(
 ) -> np.ndarray:
     """Fast uplink with perfect state knowledge: the one-step predictor is
     evaluated at the true hidden state instead of a belief."""
-    return fu_grant(predict_activation_probs(true_state, config), n_slots, aoi)
+    return fu_grant(state_forecast(true_state, config), n_slots, aoi)
 
 
 def ra_attempt(

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from closed_form import predict_activation_probs
 
 from fugrant import engine
 from fugrant.belief import (
@@ -22,12 +23,11 @@ from fugrant.belief import (
     entropy,
     forward_update,
     init_belief,
-    unnormalized_joint,
+    state_forecast,
 )
 from fugrant.model import (
     ScenarioConfig,
     activation_probs,
-    predict_activation_probs,
     rng_stream,
     sample_activations,
     sample_scenario,
@@ -36,7 +36,6 @@ from fugrant.model import (
     step_processes,
 )
 from fugrant.oracle import (
-    _bit_transition_prob,
     dense_transition_matrix,
     enumerate_forward_log_joint,
     forward_filter_gaps,
@@ -106,10 +105,12 @@ class TestPredictStep:
         olds = [0, 1, 1 << 5, 1 << (n - 1), cfg.n_states - 1, *rng.integers(cfg.n_states, size=3)]
         for old in olds:
             old_bits = state_bits(int(old), n)
-            per_process = np.array([
-                [_bit_transition_prob(int(old_bits[j]), new, eps0[j], eps1[j]) for new in (0, 1)]
-                for j in range(n)
-            ])
+            # row j: P(process j Off next), P(process j On next)
+            per_process = np.where(
+                old_bits[:, None] == 1,
+                np.stack((eps0, 1.0 - eps0), axis=1),
+                np.stack((1.0 - eps1, eps1), axis=1),
+            )
             expected = per_process[np.arange(n), new_bits].prod(axis=1)
             one_hot = np.zeros(cfg.n_states)
             one_hot[old] = 1.0
@@ -204,7 +205,7 @@ class TestForwardUpdate:
         emission = np.exp(_log_evidence(obs, cfg))
         updated = forward_update(belief, obs, cfg)
         np.testing.assert_allclose(
-            unnormalized_joint(updated), predicted * emission, atol=1e-12
+            updated.weights * math.exp(updated.log_scale), predicted * emission, atol=1e-12
         )
 
     @pytest.mark.parametrize("table", [True, False], ids=["table", "per-device"])
@@ -435,22 +436,39 @@ class TestEdgeValues:
         cfg = self.edge_config()
         for idx in range(cfg.n_states):
             state = state_bits(idx, cfg.n_processes)
-            closed = predict_activation_probs(state, cfg)
+            forecast = state_forecast(state, cfg)
+            point_mass = np.eye(cfg.n_states)[idx]
             for k in range(cfg.n_devices):
                 assert abs(
-                    closed[k] - predicted_activation_by_enumeration(state, k, cfg)
+                    forecast[k] - predicted_activation_by_enumeration(point_mass, k, cfg)
                 ) <= 1e-12
 
 
 class TestPredictorOracle:
     def test_forecast_off_by_1e9_is_caught(self, monkeypatch):
         assert predictor_deviation(3) <= 1e-12
-        original = device_forecast
 
-        def off_by_1e9(belief, config, mode="map_state"):
-            return original(belief, config, mode) + 1e-9
+        def off_by_1e9(state, config):
+            return state_forecast(state, config) + 1e-9
 
-        monkeypatch.setattr("fugrant.belief.device_forecast", off_by_1e9)
+        monkeypatch.setattr("fugrant.belief.state_forecast", off_by_1e9)
+        assert predictor_deviation(3) > 1e-12
+
+    def test_map_state_dispatch_off_by_1e9_is_caught(self, monkeypatch):
+        # the argmax-and-dispatch step of the map_state branch is checked too
+        def map_state_off_by_1e9(belief, config, mode="map_state"):
+            return device_forecast(belief, config, mode) + (1e-9 if mode == "map_state" else 0.0)
+
+        monkeypatch.setattr("fugrant.belief.device_forecast", map_state_off_by_1e9)
+        assert predictor_deviation(3) > 1e-12
+
+    def test_marginal_forecast_off_by_1e9_is_caught(self, monkeypatch):
+        assert predictor_deviation(3) <= 1e-12
+
+        def marginal_off_by_1e9(belief, config, mode="map_state"):
+            return device_forecast(belief, config, mode) + (1e-9 if mode == "marginal" else 0.0)
+
+        monkeypatch.setattr("fugrant.belief.device_forecast", marginal_off_by_1e9)
         assert predictor_deviation(3) > 1e-12
 
 

@@ -5,14 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from closed_form import predict_activation_probs
 
+from fugrant.belief import state_forecast
 from fugrant.model import (
     ConfigurationError,
     DegenerateChainError,
     ScenarioConfig,
     ScenarioTemplate,
     activation_probs,
-    predict_activation_probs,
     rng_stream,
     sample_activations,
     sample_scenario,
@@ -93,33 +94,47 @@ class TestScenarioConfig:
         ids=["bool", "numeric-string", "null", "int-beyond-float"],
     )
     def test_non_number_entry_names_path(self, key, value, path):
-        doc = make_config().to_dict()
+        doc = json.loads(make_config().to_json())
         doc[key] = value
         with pytest.raises(ConfigurationError, match=path):
             ScenarioConfig.from_json(json.dumps(doc))
 
     def test_dict_roundtrip(self):
+        # the JSON document is the config's fields, keys in this order
         cfg = make_config()
-        clone = ScenarioConfig.from_dict(cfg.to_dict())
-        assert clone.to_dict() == cfg.to_dict()
+        assert list(json.loads(cfg.to_json()).items()) == [
+            ("n_processes", cfg.n_processes),
+            ("n_devices", cfg.n_devices),
+            ("n_slots", cfg.n_slots),
+            ("horizon", cfg.horizon),
+            ("seed", cfg.seed),
+            ("eps0", cfg.eps0.tolist()),
+            ("eps1", cfg.eps1.tolist()),
+            ("q", cfg.q.tolist()),
+        ]
 
     def test_json_roundtrip(self):
         cfg = make_config()
         clone = ScenarioConfig.from_json(cfg.to_json())
+        assert clone.to_json() == cfg.to_json()
         np.testing.assert_array_equal(clone.q, cfg.q)
         assert clone.seed == cfg.seed
 
-    def test_from_dict_missing_key(self):
-        payload = make_config().to_dict()
+    def test_from_json_missing_key(self):
+        payload = json.loads(make_config().to_json())
         del payload["eps1"]
-        with pytest.raises(ConfigurationError, match="eps1"):
-            ScenarioConfig.from_dict(payload)
+        with pytest.raises(ConfigurationError, match="missing key: eps1"):
+            ScenarioConfig.from_json(json.dumps(payload))
 
-    def test_from_dict_unknown_key(self):
-        payload = make_config().to_dict()
+    def test_from_json_unknown_key(self):
+        payload = json.loads(make_config().to_json())
         payload["bogus"] = 1
-        with pytest.raises(ConfigurationError, match="bogus"):
-            ScenarioConfig.from_dict(payload)
+        with pytest.raises(ConfigurationError, match="unknown key: bogus"):
+            ScenarioConfig.from_json(json.dumps(payload))
+
+    def test_from_json_non_object_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be an object, got list"):
+            ScenarioConfig.from_json("[]")
 
     def test_replace_revalidates(self):
         cfg = make_config()
@@ -257,6 +272,9 @@ class TestPredictor:
                 expected += p * activation_probs(nxt, cfg)
             np.testing.assert_allclose(
                 predict_activation_probs(state, cfg), expected, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                state_forecast(state, cfg), expected, atol=1e-14
             )
 
 

@@ -4,9 +4,20 @@ import copy
 
 import numpy as np
 import pytest
+from closed_form import predict_activation_probs
 
-from fugrant.belief import OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED
-from fugrant.model import predict_activation_probs, sample_scenario
+from fugrant.belief import (
+    OBSERVED_ACTIVE,
+    OBSERVED_SILENT,
+    UNOBSERVED,
+    MAX_PROCESSES,
+    BeliefState,
+    device_forecast,
+    state_forecast,
+)
+from fugrant.engine import run_episode
+from fugrant.model import sample_scenario, state_index
+from fugrant.oracle import predicted_activation_by_enumeration
 from fugrant.policies import (
     POLICIES,
     fu_grant,
@@ -77,10 +88,42 @@ class TestGenieGrant:
         for _ in range(10):
             state = (rng.random(4) < 0.5).astype(np.uint8)
             aoi = rng.integers(0, 20, size=8)
+            point_mass = np.eye(cfg.n_states)[state_index(state)]
+            forecast = [predicted_activation_by_enumeration(point_mass, k, cfg) for k in range(8)]
             np.testing.assert_array_equal(
-                genie_grant(state, cfg, 3, aoi),
-                fu_grant(predict_activation_probs(state, cfg), 3, aoi),
+                genie_grant(state, cfg, 3, aoi), fu_grant(np.array(forecast), 3, aoi)
             )
+
+    def test_equals_map_state_forecast_of_point_mass(self):
+        # the map_state row of the tables is the genie's predictor, bit for bit
+        cfg = sample_scenario(5, 9, 4, 10, 0.5, np.random.default_rng(2), seed=0)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            state = (rng.random(5) < 0.5).astype(np.uint8)
+            aoi = rng.integers(0, 3, size=9)
+            point_mass = np.zeros(cfg.n_states)
+            point_mass[state_index(state)] = 1.0
+            forecast = device_forecast(BeliefState(point_mass), cfg, "map_state")
+            np.testing.assert_array_equal(state_forecast(state, cfg), forecast)
+            np.testing.assert_array_equal(
+                genie_grant(state, cfg, 4, aoi), fu_grant(forecast, 4, aoi)
+            )
+
+    def test_runs_beyond_the_tracking_limit_without_state_tables(self, monkeypatch):
+        # the genie holds no 2^N-sized table and no integer state index, so
+        # it runs past MAX_PROCESSES and past 64 processes
+        def no_tables(config):
+            raise AssertionError("the genie built a state table")
+
+        monkeypatch.setattr("fugrant.belief._forecast_halves", no_tables)
+        cfg = sample_scenario(70, 30, 5, 2, 0.5, np.random.default_rng(4), seed=0)
+        assert cfg.n_processes > MAX_PROCESSES
+        result = run_episode(cfg, ["genie"], np.random.default_rng(5))
+        assert result.series["genie"]["usage_avg"].shape == (2,)
+        state = (np.random.default_rng(6).random(70) < 0.5).astype(np.uint8)
+        np.testing.assert_allclose(
+            state_forecast(state, cfg), predict_activation_probs(state, cfg), atol=1e-14
+        )
 
 
 def sole_choosers(acts, n_slots, rng):

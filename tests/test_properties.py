@@ -138,11 +138,11 @@ def test_fu_grant_selects_a_maximal_set(k, seed):
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_config_dict_roundtrip(seed):
+def test_config_json_roundtrip(seed):
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
     cfg = sample_scenario(n, k, max(1, k // 2), int(rng.integers(0, 50)), 0.5, rng, seed=seed)
-    clone = ScenarioConfig.from_dict(cfg.to_dict())
+    clone = ScenarioConfig.from_json(cfg.to_json())
     np.testing.assert_array_equal(clone.q, cfg.q)
     np.testing.assert_array_equal(clone.eps0, cfg.eps0)
     np.testing.assert_array_equal(clone.eps1, cfg.eps1)
