@@ -120,14 +120,14 @@ def _predict(weights: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     return w.reshape(-1)
 
 
-def _state_products(off: np.ndarray, on: np.ndarray) -> np.ndarray:
+def _state_products(off: np.ndarray, on: np.ndarray, combine=np.multiply) -> np.ndarray:
     """Per-state products over processes, the Kronecker product of the
-    per-process factor pairs: entry s multiplies off[n] or on[n] as bit n of
-    s is 0 or 1. Factors of shape (N,) give (2^N,), of shape (N, K) give
-    (2^N, K)."""
-    out = np.ones((1,) + off.shape[1:])
+    per-process factor pairs: entry s combines off[n] or on[n] as bit n of
+    s is 0 or 1, starting from the ufunc's identity (np.add gives sums).
+    Factors of shape (N,) give (2^N,), of shape (N, K) give (2^N, K)."""
+    out = np.full((1,) + off.shape[1:], combine.identity, dtype=float)
     for f_off, f_on in zip(off, on):
-        out = np.concatenate((out * f_off, out * f_on))
+        out = np.concatenate((combine(out, f_off), combine(out, f_on)))
     return out
 
 
@@ -165,12 +165,10 @@ def _evidence_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     def build() -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore"):
             log_silent = np.maximum(np.log1p(-config.q), _LOG_FLOOR)
+        off = np.zeros_like(log_silent)
         h = config.n_processes // 2
-        # bit n of half-state s selects row n, so entry s sums its On processes
-        return tuple(
-            ((np.arange(1 << len(rows))[:, None] >> np.arange(len(rows))) & 1) @ rows
-            for rows in (log_silent[:h], log_silent[h:])
-        )
+        return (_state_products(off[:h], log_silent[:h], np.add),
+                _state_products(off[h:], log_silent[h:], np.add))
 
     return config.cached("belief.evidence_halves", build)
 

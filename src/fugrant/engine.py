@@ -64,7 +64,6 @@ SERIES = ("regret_slot", "regret_cum", "usage_avg", "aoi_avg", "aoi_peak")
 class EpisodeResult:
     """Per-slot metric series for every policy on one shared trajectory."""
 
-    horizon: int
     policies: tuple[str, ...]
     series: dict[str, dict[str, np.ndarray]]
     trajectory_fingerprint: str  # SHA-256 of the per-slot states and activity
@@ -180,10 +179,7 @@ def run_episode(
 
     series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
     return EpisodeResult(
-        horizon=horizon,
-        policies=policies,
-        series=series,
-        trajectory_fingerprint=hasher.hexdigest(),
+        policies=policies, series=series, trajectory_fingerprint=hasher.hexdigest()
     )
 
 
@@ -230,7 +226,6 @@ def run_monte_carlo(
             )
         )
 
-    horizon = episodes[0].horizon
     mean: dict[str, dict[str, np.ndarray]] = {}
     std: dict[str, dict[str, np.ndarray]] = {}
     for p in policies:
@@ -241,5 +236,5 @@ def run_monte_carlo(
             mean[p][s] = stacked.mean(axis=0)
             std[p][s] = stacked.std(axis=0)
     return AggregateResult(
-        runs=runs, horizon=horizon, policies=policies, mean=mean, std=std
+        runs=runs, horizon=scenario.horizon, policies=policies, mean=mean, std=std
     )

@@ -25,24 +25,25 @@ class SlotReport:
     served: np.ndarray
 
 
+def _report(served: np.ndarray, offered: int, activations: np.ndarray) -> SlotReport:
+    """Score a slot that offered `offered` transmission slots and served the
+    devices in `served`: every offered slot not used is wrong, every active
+    device not served is missed."""
+    n_served = int(np.count_nonzero(served))
+    wrong = offered - n_served
+    missed = int(np.count_nonzero(activations)) - n_served
+    return SlotReport(wrong=wrong, missed=missed, regret=min(wrong, missed), served=served)
+
+
 def slot_report(activations: np.ndarray, grants: np.ndarray) -> SlotReport:
-    """Score one slot of a grant-based policy against the true activity."""
+    """Score one slot of a grant-based policy against the true activity,
+    both 0/1 vectors; each grant is one offered slot."""
     if activations.shape != grants.shape:
         raise ValueError(
             f"activation and grant vectors differ in length: "
             f"{activations.shape} vs {grants.shape}"
         )
-    a = activations.astype(np.int64)
-    g = grants.astype(np.int64)
-    wrong = int(np.maximum(g - a, 0).sum())
-    missed = int(np.maximum(a - g, 0).sum())
-    served = ((a == 1) & (g == 1)).astype(np.uint8)
-    return SlotReport(
-        wrong=wrong,
-        missed=missed,
-        regret=min(wrong, missed),
-        served=served,
-    )
+    return _report(activations & grants, int(np.count_nonzero(grants)), activations)
 
 
 def ra_report(activations: np.ndarray, success: np.ndarray, n_slots: int) -> SlotReport:
@@ -53,16 +54,7 @@ def ra_report(activations: np.ndarray, success: np.ndarray, n_slots: int) -> Slo
     device won (n_slots - successes) and missed devices are the actives
     whose attempt collided.
     """
-    successes = int(success.sum())
-    active = int(np.asarray(activations).sum())
-    wrong = n_slots - successes
-    missed = active - successes
-    return SlotReport(
-        wrong=wrong,
-        missed=missed,
-        regret=min(wrong, missed),
-        served=success,
-    )
+    return _report(success, n_slots, activations)
 
 
 @dataclass

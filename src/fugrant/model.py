@@ -67,15 +67,11 @@ def _probabilities(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
         raise ConfigurationError(f"{name} must be a numeric array: {exc}") from exc
     if entries.shape != shape:
         raise ConfigurationError(f"{name} must have shape {shape}, got {entries.shape}")
-    with np.errstate(invalid="ignore"):  # NaN compares false
-        ok = np.frompyfunc(lambda x: _is_real(x) and 0 <= x <= 1, 1, 1)(entries)
-    bad = ~ok.astype(bool)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        path = name + "".join(f"[{i}]" for i in idx)
-        entry = entries[idx]
-        problem = "is outside [0, 1]" if _is_real(entry) else "is not a number"
-        raise ConfigurationError(f"{path} = {entry!r} {problem}")
+    for i, entry in enumerate(entries.flat):
+        if not (_is_real(entry) and 0 <= entry <= 1):  # NaN compares false
+            path = name + "".join(f"[{j}]" for j in np.unravel_index(i, shape))
+            problem = "is outside [0, 1]" if _is_real(entry) else "is not a number"
+            raise ConfigurationError(f"{path} = {entry!r} {problem}")
     arr = entries.astype(np.float64)
     arr.flags.writeable = False
     return arr
@@ -179,14 +175,25 @@ class ScenarioTemplate:
     q_max: float = 1.0
 
     def sample(self, rng: np.random.Generator, seed: int = 0) -> ScenarioConfig:
-        return sample_scenario(
-            self.n_processes,
-            self.n_devices,
-            self.n_slots,
-            self.horizon,
-            self.eps_max,
-            rng,
-            q_max=self.q_max,
+        """Draw an instance, deterministic given `rng`. ConfigurationError
+        names a size below 1 or an eps_max or q_max outside (0, 1]."""
+        for name in ("n_processes", "n_devices", "n_slots"):
+            check_int(name, getattr(self, name), 1)
+        for name, value in (("eps_max", self.eps_max), ("q_max", self.q_max)):
+            if not 0.0 < value <= 1.0:
+                raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
+        # 1 - U maps [0, 1) draws onto (0, 1], keeping exact zeros out.
+        eps0 = self.eps_max * (1.0 - rng.random(self.n_processes))
+        eps1 = self.eps_max * (1.0 - rng.random(self.n_processes))
+        q = self.q_max * rng.random((self.n_processes, self.n_devices))
+        return ScenarioConfig(
+            n_processes=self.n_processes,
+            n_devices=self.n_devices,
+            n_slots=self.n_slots,
+            eps0=eps0,
+            eps1=eps1,
+            q=q,
+            horizon=self.horizon,
             seed=seed,
         )
 
@@ -202,43 +209,21 @@ def sample_scenario(
     q_max: float = 1.0,
     seed: int = 0,
 ) -> ScenarioConfig:
-    """Draw a random scenario instance.
-
-    eps0 and eps1 are i.i.d. uniform on (0, eps_max]; q entries are i.i.d.
-    uniform on [0, q_max]. Deterministic given `rng`.
-    """
-    for name, value in (("n_processes", n_processes), ("n_devices", n_devices),
-                        ("n_slots", n_slots)):
-        check_int(name, value, 1)
-    if not 0.0 < eps_max <= 1.0:
-        raise ConfigurationError(f"eps_max must be in (0, 1], got {eps_max!r}")
-    if not 0.0 < q_max <= 1.0:
-        raise ConfigurationError(f"q_max must be in (0, 1], got {q_max!r}")
-    # 1 - U maps [0, 1) draws onto (0, 1], keeping exact zeros out.
-    eps0 = eps_max * (1.0 - rng.random(n_processes))
-    eps1 = eps_max * (1.0 - rng.random(n_processes))
-    q = q_max * rng.random((n_processes, n_devices))
-    return ScenarioConfig(
-        n_processes=n_processes,
-        n_devices=n_devices,
-        n_slots=n_slots,
-        eps0=eps0,
-        eps1=eps1,
-        q=q,
-        horizon=horizon,
-        seed=seed,
+    """Draw a random scenario instance; see ScenarioTemplate."""
+    return ScenarioTemplate(n_processes, n_devices, n_slots, horizon, eps_max, q_max).sample(
+        rng, seed
     )
 
 
 def state_index(bits: np.ndarray) -> int:
-    """Integer index of a state bit vector (process n at bit n)."""
-    bits = np.asarray(bits)
-    return int(bits.astype(np.int64) @ (1 << np.arange(bits.size, dtype=np.int64)))
+    """Integer index of a state bit vector (process n at bit n), exact at any N."""
+    return sum(int(b) << n for n, b in enumerate(np.asarray(bits).tolist()))
 
 
 def state_bits(index: int, n_processes: int) -> np.ndarray:
     """Inverse of `state_index`."""
-    return ((int(index) >> np.arange(n_processes)) & 1).astype(np.uint8)
+    index = int(index)
+    return np.array([(index >> n) & 1 for n in range(n_processes)], dtype=np.uint8)
 
 
 def stationary_on_probs(config: ScenarioConfig) -> np.ndarray:

@@ -198,10 +198,16 @@ def run_oracle_suite(
     """Run both reference suites over randomized instances. The forward
     deviation is the larger of an instance's two `forward_filter_gaps`.
 
-    Raises ConfigurationError up front when an instance could need more than
-    max_n = 4 processes or more than _MAX_PATHS enumerated paths, or when the
-    last instance seed, base_seed + instances - 1, is not a 64-bit seed.
+    Raises ConfigurationError up front, naming the parameter, when a size or
+    the instance count is below 1, when an instance could need more than
+    max_n = 4 processes or more than _MAX_PATHS enumerated paths, or when an
+    instance seed, base_seed to base_seed + instances - 1, is not a 64-bit
+    seed.
     """
+    for name, value in (("max_n", max_n), ("max_k", max_k), ("max_t", max_t),
+                        ("instances", instances)):
+        check_int(name, value, 1)
+    check_int("base_seed", base_seed, 0, MAX_SEED)
     check_int("seed + instances - 1", base_seed + instances - 1, 0, MAX_SEED)
     if max_n > 4 or max_n * max_t > math.log2(_MAX_PATHS):
         raise ConfigurationError(

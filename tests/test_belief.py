@@ -26,6 +26,7 @@ from fugrant.belief import (
     state_forecast,
 )
 from fugrant.model import (
+    ConfigurationError,
     ScenarioConfig,
     activation_probs,
     rng_stream,
@@ -42,6 +43,7 @@ from fugrant.oracle import (
     predicted_activation_by_enumeration,
     predictor_deviation,
     random_filtering_instance,
+    run_oracle_suite,
 )
 from fugrant.policies import observe_feedback, observe_limited
 
@@ -470,6 +472,17 @@ class TestPredictorOracle:
 
         monkeypatch.setattr("fugrant.belief.device_forecast", marginal_off_by_1e9)
         assert predictor_deviation(3) > 1e-12
+
+
+class TestOracleSuite:
+    @pytest.mark.parametrize("key", ["max_n", "max_k", "max_t", "instances"])
+    def test_size_below_one_names_parameter(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            run_oracle_suite(**{key: 0}, base_seed=5)
+
+    def test_negative_base_seed_names_parameter(self):
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            run_oracle_suite(instances=1, base_seed=-1)
 
 
 class TestEntropy:

@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 import fugrant.engine as engine_mod
+from fugrant.belief import (
+    EvidenceContradictionError,
+    device_forecast,
+    forward_update,
+    init_belief,
+    state_forecast,
+)
 from fugrant.engine import (
     SERIES,
     EpisodeResult,
@@ -22,7 +29,14 @@ from fugrant.model import (
     stationary_on_probs,
     step_processes,
 )
-from fugrant.policies import POLICIES, tdd_grant
+from fugrant.policies import (
+    POLICIES,
+    fu_grant,
+    observe_feedback,
+    observe_limited,
+    ra_attempt,
+    tdd_grant,
+)
 
 SMALL = dict(n_processes=3, n_devices=8, n_slots=3, horizon=40)
 
@@ -91,32 +105,63 @@ class TestRunEpisode:
         res = run_episode(cfg, ["tdd"], rng_stream(2, 0, "episode"))
         assert res.trajectory_fingerprint == hasher.hexdigest()
 
-    def test_tdd_series_match_a_recomputation_by_hand(self):
-        # TDD scored by hand on the redrawn activity: regret min(wrong, missed),
-        # usage as used slots / (t * L), and each device's age as t minus the
-        # slot of its last success (0 before any)
+    def test_series_match_a_recomputation_by_hand(self):
+        # Every policy replayed slot by slot on the redrawn truth and scored
+        # by hand: regret min(wrong, missed), usage as used slots / (t * L),
+        # and each device's age as t minus the slot of its last success (0
+        # before any). Random access draws from the second spawned stream;
+        # the genie forecasts from the previous slot's true state; the fu
+        # trackers see their own evidence and restart from the prior on a
+        # contradiction.
         cfg = small_config(seed=6, horizon=200)
-        k, l = cfg.n_devices, cfg.n_slots
-        truth_rng = rng_stream(6, 0, "episode").spawn(2)[0]
-        state = (truth_rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
-        expected = {s: [] for s in SERIES}
-        used, last_served = 0, np.zeros(k, dtype=np.int64)
-        for t in range(1, cfg.horizon + 1):
-            state = step_processes(state, cfg, truth_rng)
-            active = sample_activations(state, cfg, truth_rng).astype(bool)
-            granted = tdd_grant(t - 1, k, l).astype(bool)
-            wrong, missed = np.sum(granted & ~active), np.sum(active & ~granted)
-            used += np.sum(granted & active)
-            last_served[granted & active] = t
-            ages = t - last_served
-            expected["regret_slot"].append(min(wrong, missed))
-            expected["usage_avg"].append(used / (t * l))
-            expected["aoi_avg"].append(ages.mean())
-            expected["aoi_peak"].append(ages.max())
-        expected["regret_cum"] = np.cumsum(expected["regret_slot"])
-        res = run_episode(cfg, ["tdd"], rng_stream(6, 0, "episode"))
-        for s in SERIES:
-            np.testing.assert_array_equal(res.series["tdd"][s], expected[s], err_msg=s)
+        n, k, l = cfg.n_processes, cfg.n_devices, cfg.n_slots
+        truth_rng, ra_rng = rng_stream(6, 0, "episode").spawn(2)
+        states = [(truth_rng.random(n) < stationary_on_probs(cfg)).astype(np.uint8)]
+        activity = []
+        for _ in range(cfg.horizon):
+            states.append(step_processes(states[-1], cfg, truth_rng))
+            activity.append(sample_activations(states[-1], cfg, truth_rng))
+        res = run_episode(cfg, POLICIES, rng_stream(6, 0, "episode"))
+        for policy in POLICIES:
+            expected = {s: [] for s in SERIES}
+            used, last_served = 0, np.zeros(k, dtype=np.int64)
+            belief = init_belief(cfg)
+            for t in range(1, cfg.horizon + 1):
+                acts = activity[t - 1]
+                active = acts.astype(bool)
+                ages = (t - 1) - last_served
+                if policy == "ra":
+                    served = ra_attempt(acts, l, ra_rng).astype(bool)
+                    wrong = l - np.sum(served)
+                    missed = np.sum(active) - np.sum(served)
+                else:
+                    if policy == "tdd":
+                        grants = tdd_grant(t - 1, k, l)
+                    elif policy == "genie":
+                        grants = fu_grant(state_forecast(states[t - 1], cfg), l, ages)
+                    else:
+                        grants = fu_grant(device_forecast(belief, cfg), l, ages)
+                        obs = (observe_limited(grants, acts) if policy == "fu_limited"
+                               else observe_feedback(acts))
+                        try:
+                            belief = forward_update(belief, obs, cfg)
+                        except EvidenceContradictionError:
+                            belief = init_belief(cfg)
+                    granted = grants.astype(bool)
+                    served = granted & active
+                    wrong, missed = np.sum(granted & ~active), np.sum(active & ~granted)
+                used += np.sum(served)
+                last_served[served] = t
+                ages = t - last_served
+                expected["regret_slot"].append(min(wrong, missed))
+                expected["usage_avg"].append(used / (t * l))
+                expected["aoi_avg"].append(ages.mean())
+                expected["aoi_peak"].append(ages.max())
+            expected["regret_cum"] = np.cumsum(expected["regret_slot"])
+            for s in SERIES:
+                np.testing.assert_array_equal(
+                    res.series[policy][s], expected[s], err_msg=f"{policy} {s}"
+                )
 
     def test_policy_order_is_canonical(self):
         cfg = small_config()
@@ -161,8 +206,6 @@ class TestRunEpisode:
             )
 
     def test_contradiction_resets_tracker(self, monkeypatch, caplog):
-        from fugrant.belief import EvidenceContradictionError, init_belief
-
         cfg = small_config(horizon=5)
         calls = {"n": 0}
         real = engine_mod.forward_update

@@ -1,9 +1,8 @@
 """End-to-end outputs against the benchmark's recorded digests.
 
-Runs the episode_fig4 and large_n_marginal workloads of perfbench/run.py at
-input seed 0, each in a child process, and compares the output file with
-perfbench/golden.json. The fig3 workload is checked by perfbench's own
-self-test.
+Runs the fig3, episode_fig4 and large_n_marginal workloads of
+perfbench/run.py at input seed 0, each untraced in a child process, and
+compares the output file with perfbench/golden.json.
 """
 
 import importlib.util
@@ -24,7 +23,7 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("name", ["episode_fig4", "large_n_marginal"])
+@pytest.mark.parametrize("name", ["fig3", "episode_fig4", "large_n_marginal"])
 def test_seed_0_output_matches_golden_digest(bench, name, tmp_path):
     workload = bench.WORKLOADS[name]
     runner = bench.Runner(tmp_path, deadline=time.monotonic() + 120)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,8 +91,17 @@ class TestScenarioConfig:
             ("eps1", [0.3, "0.5"], r"eps1\[1\] = '0.5' is not a number"),
             ("q", [[0.5, 0.6, 0.7], [0.2, None, 0.4]], r"q\[1\]\[1\] = None is not a number"),
             ("eps0", [10**400, 0.2], r"eps0\[0\] = 1000.* is outside \[0, 1\]"),
+            ("eps0", [0.1, math.nan], r"eps0\[1\] = nan is outside \[0, 1\]"),
+            ("eps0", [0.1, math.inf], r"eps0\[1\] = inf is outside \[0, 1\]"),
+            ("eps0", [0.1, -math.inf], r"eps0\[1\] = -inf is outside \[0, 1\]"),
+            ("q", [[0.5, 0.6, 0.7], [math.nan, 0.3, 0.4]], r"q\[1\]\[0\] = nan is outside"),
+            ("q", [[0.5, 0.6, 0.7], [math.inf, 0.3, 0.4]], r"q\[1\]\[0\] = inf is outside"),
+            ("q", [[0.5, 0.6, 0.7], [-math.inf, 0.3, 0.4]], r"q\[1\]\[0\] = -inf is outside"),
+            # row by row q[0][2] comes first; column by column q[1][0] would
+            ("q", [[0.5, 0.6, 1.5], [-0.2, 0.3, 0.4]], r"q\[0\]\[2\] = 1.5 is outside"),
         ],
-        ids=["bool", "numeric-string", "null", "int-beyond-float"],
+        ids=["bool", "numeric-string", "null", "int-beyond-float", "nan-eps0", "inf-eps0",
+             "-inf-eps0", "nan-q", "inf-q", "-inf-q", "two-bad-row-major"],
     )
     def test_non_number_entry_names_path(self, key, value, path):
         doc = json.loads(make_config().to_json())
@@ -181,6 +191,12 @@ class TestStateEncoding:
         bits = state_bits(0b0101, 4)
         np.testing.assert_array_equal(bits, [1, 0, 1, 0])
         assert state_index(np.array([1, 0, 0, 0], dtype=np.uint8)) == 1
+
+    def test_exact_beyond_63_processes(self):
+        bits = np.zeros(70, dtype=np.uint8)
+        bits[65] = 1
+        assert state_index(bits) == 2**65
+        np.testing.assert_array_equal(state_bits(2**65, 70), bits)
 
 
 class TestStationary:
@@ -295,6 +311,12 @@ class TestSampling:
     def test_bool_size_rejected(self):
         with pytest.raises(ConfigurationError, match="n_processes"):
             sample_scenario(True, 3, 1, 5, 0.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("key, value", [("eps_max", 0.0), ("q_max", 1.5)])
+    def test_range_out_of_unit_interval_rejected(self, key, value):
+        tpl = ScenarioTemplate(n_processes=2, n_devices=3, n_slots=1, horizon=5, **{key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            tpl.sample(np.random.default_rng(0))
 
     def test_template_sample_matches_function(self):
         tpl = ScenarioTemplate(
