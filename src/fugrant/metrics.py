@@ -5,6 +5,11 @@ to silent devices and missed = active devices left without a grant, the
 per-slot regret is min(wrong, missed). Usage is the running fraction of
 grant slots actually consumed by a transmission. Age of information is the
 slots elapsed since each device last transmitted successfully.
+
+Every helper takes one slot, as (K,) vectors, or a block of C consecutive
+slots, as (C, K) arrays with a leading slot axis; a block yields one value
+per slot, equal bit for bit to scoring its slots one at a time, because
+all counts are exact integers and each average is one division.
 """
 
 from __future__ import annotations
@@ -16,38 +21,38 @@ import numpy as np
 
 @dataclass
 class SlotReport:
-    """Outcome of one slot for one policy; served[k] is 1 iff device k
-    transmitted successfully."""
+    """Outcome of one slot, or of a block of slots, for one policy;
+    served[..., k] is 1 iff device k transmitted successfully in that slot."""
 
-    wrong: int
-    missed: int
-    regret: int
+    wrong: int | np.ndarray
+    missed: int | np.ndarray
+    regret: int | np.ndarray
     served: np.ndarray
 
 
-def _report(served: np.ndarray, offered: int, activations: np.ndarray) -> SlotReport:
-    """Score a slot that offered `offered` transmission slots and served the
-    devices in `served`: every offered slot not used is wrong, every active
-    device not served is missed."""
-    n_served = int(np.count_nonzero(served))
+def _report(served: np.ndarray, offered: int | np.ndarray, activations: np.ndarray) -> SlotReport:
+    """Score slots that offered `offered` transmission slots each and served
+    the devices in `served`: every offered slot not used is wrong, every
+    active device not served is missed."""
+    n_served = np.count_nonzero(served, axis=-1)
     wrong = offered - n_served
-    missed = int(np.count_nonzero(activations)) - n_served
-    return SlotReport(wrong=wrong, missed=missed, regret=min(wrong, missed), served=served)
+    missed = np.count_nonzero(activations, axis=-1) - n_served
+    return SlotReport(wrong=wrong, missed=missed, regret=np.minimum(wrong, missed), served=served)
 
 
 def slot_report(activations: np.ndarray, grants: np.ndarray) -> SlotReport:
-    """Score one slot of a grant-based policy against the true activity,
-    both 0/1 vectors; each grant is one offered slot."""
+    """Score a grant-based policy against the true activity, both 0/1 of
+    shape (K,) or (C, K); each grant is one offered slot."""
     if activations.shape != grants.shape:
         raise ValueError(
             f"activation and grant vectors differ in length: "
             f"{activations.shape} vs {grants.shape}"
         )
-    return _report(activations & grants, int(np.count_nonzero(grants)), activations)
+    return _report(activations & grants, np.count_nonzero(grants, axis=-1), activations)
 
 
 def ra_report(activations: np.ndarray, success: np.ndarray, n_slots: int) -> SlotReport:
-    """Score one random-access round, given `ra_attempt`'s success vector,
+    """Score random-access rounds, given `ra_attempt`'s success vectors,
     with the same regret semantics.
 
     Random access issues no grant vector, so wasted slots are those no
@@ -62,42 +67,58 @@ class MetricsAccumulator:
     """Running totals for one (policy, run) pair.
 
     last_served starts at zero for every device, i.e. a virtual successful
-    transmission at t = 0, so a never-served device has age t.
+    transmission at t = 0, so a never-served device has age t. After a
+    block is folded in, t, cum_regret and cum_used_slots hold one value per
+    slot of the block and last_served one (K,) row per slot; the next fold
+    carries on from the last slot.
     """
 
     n_devices: int
     n_slots: int
-    t: int = 0
-    cum_regret: int = 0
-    cum_used_slots: int = 0
+    t: int | np.ndarray = 0
+    cum_regret: int | np.ndarray = 0
+    cum_used_slots: int | np.ndarray = 0
     last_served: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.last_served = np.zeros(self.n_devices, dtype=np.int64)
 
     def advance(self, report: SlotReport) -> None:
-        """Fold in the next slot's report."""
-        self.t += 1
-        self.cum_regret += report.regret
-        self.cum_used_slots += self.n_slots - report.wrong
-        self.last_served[report.served == 1] = self.t
+        """Fold in the next slot's report, or the next block's."""
+        t, regret, used, last = self.t, self.cum_regret, self.cum_used_slots, self.last_served
+        if np.ndim(t):  # the last fold was a block: carry on from its last slot
+            t, regret, used, last = int(t[-1]), int(regret[-1]), int(used[-1]), last[-1]
+        if report.served.ndim == 1:
+            self.t, self.cum_regret = t + 1, regret + report.regret
+            self.cum_used_slots = used + self.n_slots - report.wrong
+            self.last_served = np.where(report.served == 1, t + 1, last)
+            return
+        stamps = np.arange(t + 1, t + 1 + report.served.shape[0])
+        self.t = stamps
+        self.cum_regret = regret + np.cumsum(report.regret)
+        self.cum_used_slots = used + np.cumsum(self.n_slots - report.wrong)
+        # each served device is stamped with its slot; the running maximum
+        # down the block, seeded with the carried stamps, is its last success
+        marks = report.served * stamps[:, None]
+        np.maximum(marks[0], last, out=marks[0])
+        self.last_served = np.maximum.accumulate(marks, axis=0, out=marks)
 
 
-def average_usage(acc: MetricsAccumulator) -> float:
+def average_usage(acc: MetricsAccumulator) -> float | np.ndarray:
     """Time-averaged fraction of grant slots used; 1.0 before any slot."""
-    if acc.t == 0:
+    if np.ndim(acc.t) == 0 and acc.t == 0:
         return 1.0
     return acc.cum_used_slots / (acc.t * acc.n_slots)
 
 
 def device_ages(acc: MetricsAccumulator) -> np.ndarray:
     """Slots since each device's last success, at the accumulator's clock."""
-    return acc.t - acc.last_served
+    return np.expand_dims(acc.t, -1) - acc.last_served
 
 
-def average_age(acc: MetricsAccumulator) -> float:
-    return float(device_ages(acc).mean())
+def average_age(acc: MetricsAccumulator) -> float | np.ndarray:
+    return device_ages(acc).sum(axis=-1) / acc.n_devices
 
 
-def peak_age(acc: MetricsAccumulator) -> int:
-    return int(device_ages(acc).max())
+def peak_age(acc: MetricsAccumulator) -> int | np.ndarray:
+    return device_ages(acc).max(axis=-1)

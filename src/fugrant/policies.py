@@ -31,10 +31,13 @@ def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
     return grants
 
 
-def tdd_grant(t: int, n_devices: int, n_slots: int) -> np.ndarray:
-    """Round-robin: slot t grants devices (t * L + i) mod K for i < L."""
-    grants = np.zeros(n_devices, dtype=np.uint8)
-    grants[(t * n_slots + np.arange(n_slots)) % n_devices] = 1
+def tdd_grant(t: int | np.ndarray, n_devices: int, n_slots: int) -> np.ndarray:
+    """Round-robin: slot t grants devices (t * L + i) mod K for i < L. An
+    array of slot indices gives one (K,) row per slot."""
+    t = np.asarray(t)
+    grants = np.zeros(t.shape + (n_devices,), dtype=np.uint8)
+    cols = (t[..., None] * n_slots + np.arange(n_slots)) % n_devices
+    np.put_along_axis(grants, cols, 1, axis=-1)
     return grants
 
 
@@ -53,14 +56,17 @@ def ra_attempt(
     activations: np.ndarray, n_slots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Slotted ALOHA: each active device picks one of n_slots slots uniformly
-    and succeeds iff no other device picked the same slot. Returns the (K,)
-    uint8 success vector."""
-    active = np.flatnonzero(activations)
-    choices = rng.integers(0, n_slots, size=active.size)
-    picks = np.bincount(choices, minlength=n_slots)
-    success = np.zeros(activations.shape[0], dtype=np.uint8)
-    success[active[picks[choices] == 1]] = 1
-    return success
+    and succeeds iff no other device picked the same slot. Takes one slot's
+    (K,) activity or a (C, K) block and returns uint8 success of the same
+    shape. A block draws every choice in one call, in row-major order, so
+    it consumes `rng` exactly as C one-slot calls do."""
+    block = np.atleast_2d(activations)
+    rows, active = np.nonzero(block)
+    keys = rows * n_slots + rng.integers(0, n_slots, size=active.size)
+    won = np.bincount(keys)[keys] == 1
+    success = np.zeros(block.shape, dtype=np.uint8)
+    success[rows[won], active[won]] = 1
+    return success.reshape(activations.shape)
 
 
 def observe_limited(grants: np.ndarray, activations: np.ndarray) -> np.ndarray:

@@ -250,6 +250,21 @@ class TestRun:
         assert "horizon = 1000000000000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_runs_beyond_memory_names_flag(self, tmp_path, capsys, monkeypatch):
+        # every run's series is kept until the end: runs * |P| * 5 * 8 * T bytes
+        def no_slot(*args):
+            raise AssertionError("a slot was simulated")
+
+        monkeypatch.setattr("fugrant.engine.step_processes", no_slot)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "run", "--preset", "fig3", "--runs", "1000000000", "--policies", "ra",
+            "--horizon", "2000", "--out", str(out),
+        )
+        assert code == 2
+        assert "runs = 1000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [True, "0.5", None], ids=["bool", "numeric-string", "null"])
     def test_non_number_probability_names_entry(self, config_path, entry, tmp_path, capsys):
         payload = json.loads(Path(config_path).read_text())

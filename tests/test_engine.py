@@ -113,55 +113,58 @@ class TestRunEpisode:
         # the genie forecasts from the previous slot's true state; the fu
         # trackers see their own evidence and restart from the prior on a
         # contradiction.
-        cfg = small_config(seed=6, horizon=200)
-        n, k, l = cfg.n_processes, cfg.n_devices, cfg.n_slots
-        truth_rng, ra_rng = rng_stream(6, 0, "episode").spawn(2)
-        states = [(truth_rng.random(n) < stationary_on_probs(cfg)).astype(np.uint8)]
-        activity = []
-        for _ in range(cfg.horizon):
-            states.append(step_processes(states[-1], cfg, truth_rng))
-            activity.append(sample_activations(states[-1], cfg, truth_rng))
-        res = run_episode(cfg, POLICIES, rng_stream(6, 0, "episode"))
-        for policy in POLICIES:
-            expected = {s: [] for s in SERIES}
-            used, last_served = 0, np.zeros(k, dtype=np.int64)
-            belief = init_belief(cfg)
-            for t in range(1, cfg.horizon + 1):
-                acts = activity[t - 1]
-                active = acts.astype(bool)
-                ages = (t - 1) - last_served
-                if policy == "ra":
-                    served = ra_attempt(acts, l, ra_rng).astype(bool)
-                    wrong = l - np.sum(served)
-                    missed = np.sum(active) - np.sum(served)
-                else:
-                    if policy == "tdd":
-                        grants = tdd_grant(t - 1, k, l)
-                    elif policy == "genie":
-                        grants = fu_grant(state_forecast(states[t - 1], cfg), l, ages)
+        # 2 * 4096 + 100 slots at K=8 cross the scoring-block boundaries after
+        # slots 4096 and 8192 (2^15 entries per block) and end inside a block.
+        for horizon in (1, 200, 2 * 4096 + 100):
+            cfg = small_config(seed=6, horizon=horizon)
+            n, k, l = cfg.n_processes, cfg.n_devices, cfg.n_slots
+            truth_rng, ra_rng = rng_stream(6, 0, "episode").spawn(2)
+            states = [(truth_rng.random(n) < stationary_on_probs(cfg)).astype(np.uint8)]
+            activity = []
+            for _ in range(cfg.horizon):
+                states.append(step_processes(states[-1], cfg, truth_rng))
+                activity.append(sample_activations(states[-1], cfg, truth_rng))
+            res = run_episode(cfg, POLICIES, rng_stream(6, 0, "episode"))
+            for policy in POLICIES:
+                expected = {s: [] for s in SERIES}
+                used, last_served = 0, np.zeros(k, dtype=np.int64)
+                belief = init_belief(cfg)
+                for t in range(1, cfg.horizon + 1):
+                    acts = activity[t - 1]
+                    active = acts.astype(bool)
+                    ages = (t - 1) - last_served
+                    if policy == "ra":
+                        served = ra_attempt(acts, l, ra_rng).astype(bool)
+                        wrong = l - np.sum(served)
+                        missed = np.sum(active) - np.sum(served)
                     else:
-                        grants = fu_grant(device_forecast(belief, cfg), l, ages)
-                        obs = (observe_limited(grants, acts) if policy == "fu_limited"
-                               else observe_feedback(acts))
-                        try:
-                            belief = forward_update(belief, obs, cfg)
-                        except EvidenceContradictionError:
-                            belief = init_belief(cfg)
-                    granted = grants.astype(bool)
-                    served = granted & active
-                    wrong, missed = np.sum(granted & ~active), np.sum(active & ~granted)
-                used += np.sum(served)
-                last_served[served] = t
-                ages = t - last_served
-                expected["regret_slot"].append(min(wrong, missed))
-                expected["usage_avg"].append(used / (t * l))
-                expected["aoi_avg"].append(ages.mean())
-                expected["aoi_peak"].append(ages.max())
-            expected["regret_cum"] = np.cumsum(expected["regret_slot"])
-            for s in SERIES:
-                np.testing.assert_array_equal(
-                    res.series[policy][s], expected[s], err_msg=f"{policy} {s}"
-                )
+                        if policy == "tdd":
+                            grants = tdd_grant(t - 1, k, l)
+                        elif policy == "genie":
+                            grants = fu_grant(state_forecast(states[t - 1], cfg), l, ages)
+                        else:
+                            grants = fu_grant(device_forecast(belief, cfg), l, ages)
+                            obs = (observe_limited(grants, acts) if policy == "fu_limited"
+                                   else observe_feedback(acts))
+                            try:
+                                belief = forward_update(belief, obs, cfg)
+                            except EvidenceContradictionError:
+                                belief = init_belief(cfg)
+                        granted = grants.astype(bool)
+                        served = granted & active
+                        wrong, missed = np.sum(granted & ~active), np.sum(active & ~granted)
+                    used += np.sum(served)
+                    last_served[served] = t
+                    ages = t - last_served
+                    expected["regret_slot"].append(min(wrong, missed))
+                    expected["usage_avg"].append(used / (t * l))
+                    expected["aoi_avg"].append(ages.mean())
+                    expected["aoi_peak"].append(ages.max())
+                expected["regret_cum"] = np.cumsum(expected["regret_slot"])
+                for s in SERIES:
+                    np.testing.assert_array_equal(
+                        res.series[policy][s], expected[s], err_msg=f"T={horizon} {policy} {s}"
+                    )
 
     def test_policy_order_is_canonical(self):
         cfg = small_config()

@@ -149,3 +149,55 @@ class TestAccumulator:
         assert acc.cum_regret == 1  # wrong=1, missed=1
         assert acc.cum_used_slots == 1
         np.testing.assert_array_equal(acc.last_served, [1, 0, 0, 0])
+
+
+def fold_series(acts, grants, block):
+    """Per-slot series from folding the slots `block` at a time, as (C, K)
+    blocks, or one (K,) slot at a time when block is None."""
+    acc = MetricsAccumulator(n_devices=acts.shape[1], n_slots=2)
+    out = {name: [] for name in ("regret", "cum", "usage", "avg", "peak", "ages")}
+    step = block or 1
+    for start in range(0, acts.shape[0], step):
+        rows = slice(start, start + step) if block else start
+        rep = slot_report(acts[rows], grants[rows])
+        acc.advance(rep)
+        for name, value in (
+            ("regret", rep.regret),
+            ("cum", acc.cum_regret),
+            ("usage", average_usage(acc)),
+            ("avg", average_age(acc)),
+            ("peak", peak_age(acc)),
+            ("ages", device_ages(acc)),
+        ):
+            out[name].append(value if block else np.expand_dims(value, 0))
+    return {name: np.concatenate(parts) for name, parts in out.items()}
+
+
+class TestBlockFold:
+    def test_blocks_of_any_size_give_the_per_slot_series(self):
+        # device 0 is served in slot 7, the last of the first 7-slot block,
+        # and then not again for a block, so its age must carry over
+        rng = np.random.default_rng(5)
+        t, k = 40, 6
+        acts = (rng.random((t, k)) < 0.5).astype(np.uint8)
+        grants = np.zeros((t, k), dtype=np.uint8)
+        for row in grants:
+            row[rng.permutation(k)[:2]] = 1
+        acts[6, 0] = grants[6, 0] = 1
+        grants[7:14, 0] = 0
+        reference = fold_series(acts, grants, None)
+        assert reference["ages"][13, 0] == 7
+        for block in (1, 7, t):
+            series = fold_series(acts, grants, block)
+            for name, values in reference.items():
+                assert series[name].dtype == values.dtype, name
+                np.testing.assert_array_equal(series[name], values, err_msg=f"{block} {name}")
+
+    def test_block_report_counts_each_slot(self):
+        acts = np.array([vec(5, [0, 1]), vec(5, ()), vec(5, [0, 1, 2, 3])])
+        grants = np.array([vec(5, [0, 2]), vec(5, [0, 1]), vec(5, [4])])
+        rep = slot_report(acts, grants)
+        np.testing.assert_array_equal(rep.wrong, [1, 2, 1])
+        np.testing.assert_array_equal(rep.missed, [1, 0, 4])
+        np.testing.assert_array_equal(rep.regret, [1, 0, 1])
+        np.testing.assert_array_equal(rep.served, acts & grants)

@@ -76,6 +76,12 @@ class TestTddGrant:
         grants = tdd_grant(3, 10, 3)  # slots 9, 0, 1
         np.testing.assert_array_equal(np.nonzero(grants)[0], [0, 1, 9])
 
+    @pytest.mark.parametrize("slots", [np.arange(13), np.array([11, 0, 4, 12])])
+    def test_slot_vector_gives_one_row_per_slot(self, slots):
+        grants = tdd_grant(slots, 7, 3)
+        assert grants.shape == (slots.size, 7) and grants.dtype == np.uint8
+        np.testing.assert_array_equal(grants, [tdd_grant(int(t), 7, 3) for t in slots])
+
     def test_exactly_l_when_k_at_least_l(self):
         for t in range(7):
             assert tdd_grant(t, 7, 3).sum() == 3
@@ -162,6 +168,20 @@ class TestRaAttempt:
     def test_no_active_devices(self):
         success = ra_attempt(np.zeros(3, dtype=np.uint8), 2, np.random.default_rng(5))
         np.testing.assert_array_equal(success, [0, 0, 0])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    @pytest.mark.parametrize("n_slots", [1, 3])
+    def test_block_equals_one_slot_calls(self, n_rows, n_slots):
+        # one draw over the block's active devices, row by row, consumes the
+        # stream exactly as one call per slot does; rows 1, 4 and 7 are silent
+        acts = (np.random.default_rng(7).random((n_rows, 8)) < 0.6).astype(np.uint8)
+        acts[1::3] = 0
+        block_rng, slot_rng = np.random.default_rng(8), np.random.default_rng(8)
+        success = ra_attempt(acts, n_slots, block_rng)
+        assert success.shape == acts.shape and success.dtype == np.uint8
+        one_slot_calls = [ra_attempt(row, n_slots, slot_rng) for row in acts]
+        np.testing.assert_array_equal(success, one_slot_calls)
+        assert block_rng.random() == slot_rng.random()
 
     def test_guaranteed_collision(self):
         acts = np.array([1, 1], dtype=np.uint8)
