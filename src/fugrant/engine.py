@@ -181,9 +181,9 @@ def run_episode(
 
     The generator is split into a trajectory stream and a random-access
     stream, so the ground truth is identical no matter which policies are
-    requested. The trajectory is drawn first and held as uint8 arrays,
-    T * (N + K) bytes plus the N-byte start; then each policy runs alone
-    over it, so belief trackers never see each other's observations.
+    requested. The trajectory is drawn first into one (T + 1) x (N + K)
+    uint8 array; then each policy runs alone over it, so belief trackers
+    never see each other's observations.
     Raises ConfigurationError naming the horizon when the trajectory and
     the metric series would not fit in physical memory.
     """
@@ -192,24 +192,21 @@ def run_episode(
         expected = " or ".join(map(repr, FORECAST_MODES))
         raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
-    need = (horizon + 1) * n + horizon * k + len(policies) * len(SERIES) * 8 * horizon
+    need = (horizon + 1) * (n + k) + len(policies) * len(SERIES) * 8 * horizon
     _check_fits(f"horizon = {horizon}", need, "the trajectory and metric series")
     truth_rng, ra_rng = rng.spawn(2)
 
-    # Row t of states is slot t's hidden state (row 0 the stationary start).
-    states = np.empty((horizon + 1, n), dtype=np.uint8)
-    activity = np.empty((horizon, k), dtype=np.uint8)  # row t - 1: slot t
+    # Row t of truth is slot t's hidden state, then its activity (none in row 0).
+    truth = np.zeros((horizon + 1, n + k), dtype=np.uint8)
+    states, activity = truth[:, :n], truth[1:, n:]  # activity row t - 1: slot t
     states[0] = truth_rng.random(n) < stationary_on_probs(config)
-    hasher = hashlib.sha256()
     for t in range(1, horizon + 1):
         states[t] = step_processes(states[t - 1], config, truth_rng)
         activity[t - 1] = sample_activations(states[t], config, truth_rng)
-        hasher.update(states[t].tobytes() + activity[t - 1].tobytes())
 
     series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
-    return EpisodeResult(
-        policies=policies, series=series, trajectory_fingerprint=hasher.hexdigest()
-    )
+    fingerprint = hashlib.sha256(truth[1:]).hexdigest()
+    return EpisodeResult(policies=policies, series=series, trajectory_fingerprint=fingerprint)
 
 
 def run_monte_carlo(

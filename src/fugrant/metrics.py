@@ -6,10 +6,10 @@ per-slot regret is min(wrong, missed). Usage is the running fraction of
 grant slots actually consumed by a transmission. Age of information is the
 slots elapsed since each device last transmitted successfully.
 
-Every helper takes one slot, as (K,) vectors, or a block of C consecutive
-slots, as (C, K) arrays with a leading slot axis; a block yields one value
-per slot, equal bit for bit to scoring its slots one at a time, because
-all counts are exact integers and each average is one division.
+Every helper scores a block of C consecutive slots, (C, K) arrays with a
+leading slot axis, giving one value per slot; `slot_report` and `ra_report`
+also take one (K,) slot. How slots are split into blocks changes no bit of
+the series: all counts are exact integers and each average is one division.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ class SlotReport:
     """Outcome of one slot, or of a block of slots, for one policy;
     served[..., k] is 1 iff device k transmitted successfully in that slot."""
 
-    wrong: int | np.ndarray
-    missed: int | np.ndarray
-    regret: int | np.ndarray
+    wrong: np.ndarray
+    missed: np.ndarray
+    regret: np.ndarray
     served: np.ndarray
 
 
@@ -64,61 +64,51 @@ def ra_report(activations: np.ndarray, success: np.ndarray, n_slots: int) -> Slo
 
 @dataclass
 class MetricsAccumulator:
-    """Running totals for one (policy, run) pair.
+    """Running totals for one (policy, run) pair, as of the last block folded in.
 
-    last_served starts at zero for every device, i.e. a virtual successful
-    transmission at t = 0, so a never-served device has age t. After a
-    block is folded in, t, cum_regret and cum_used_slots hold one value per
-    slot of the block and last_served one (K,) row per slot; the next fold
-    carries on from the last slot.
+    t, cum_regret and cum_used_slots hold one value per slot of that block
+    and last_served one (K,) row per slot. A fresh accumulator holds slot 0
+    alone, a virtual successful transmission of every device, so a
+    never-served device has age t.
     """
 
     n_devices: int
     n_slots: int
-    t: int | np.ndarray = 0
-    cum_regret: int | np.ndarray = 0
-    cum_used_slots: int | np.ndarray = 0
+    t: np.ndarray = field(init=False)
+    cum_regret: np.ndarray = field(init=False)
+    cum_used_slots: np.ndarray = field(init=False)
     last_served: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.last_served = np.zeros(self.n_devices, dtype=np.int64)
+        self.t = self.cum_regret = self.cum_used_slots = np.zeros(1, dtype=np.int64)
+        self.last_served = np.zeros((1, self.n_devices), dtype=np.int64)
 
     def advance(self, report: SlotReport) -> None:
-        """Fold in the next slot's report, or the next block's."""
-        t, regret, used, last = self.t, self.cum_regret, self.cum_used_slots, self.last_served
-        if np.ndim(t):  # the last fold was a block: carry on from its last slot
-            t, regret, used, last = int(t[-1]), int(regret[-1]), int(used[-1]), last[-1]
-        if report.served.ndim == 1:
-            self.t, self.cum_regret = t + 1, regret + report.regret
-            self.cum_used_slots = used + self.n_slots - report.wrong
-            self.last_served = np.where(report.served == 1, t + 1, last)
-            return
-        stamps = np.arange(t + 1, t + 1 + report.served.shape[0])
-        self.t = stamps
-        self.cum_regret = regret + np.cumsum(report.regret)
-        self.cum_used_slots = used + np.cumsum(self.n_slots - report.wrong)
+        """Fold in the next block's report, carrying on from the last slot folded."""
+        t = self.t[-1]
+        self.t = np.arange(t + 1, t + 1 + len(report.regret))
+        self.cum_regret = self.cum_regret[-1] + np.cumsum(report.regret)
+        self.cum_used_slots = self.cum_used_slots[-1] + np.cumsum(self.n_slots - report.wrong)
         # each served device is stamped with its slot; the running maximum
         # down the block, seeded with the carried stamps, is its last success
-        marks = report.served * stamps[:, None]
-        np.maximum(marks[0], last, out=marks[0])
+        marks = report.served * self.t[:, None]
+        np.maximum(marks[0], self.last_served[-1], out=marks[0])
         self.last_served = np.maximum.accumulate(marks, axis=0, out=marks)
 
 
-def average_usage(acc: MetricsAccumulator) -> float | np.ndarray:
-    """Time-averaged fraction of grant slots used; 1.0 before any slot."""
-    if np.ndim(acc.t) == 0 and acc.t == 0:
-        return 1.0
+def average_usage(acc: MetricsAccumulator) -> np.ndarray:
+    """Time-averaged fraction of grant slots used."""
     return acc.cum_used_slots / (acc.t * acc.n_slots)
 
 
 def device_ages(acc: MetricsAccumulator) -> np.ndarray:
     """Slots since each device's last success, at the accumulator's clock."""
-    return np.expand_dims(acc.t, -1) - acc.last_served
+    return acc.t[:, None] - acc.last_served
 
 
-def average_age(acc: MetricsAccumulator) -> float | np.ndarray:
+def average_age(acc: MetricsAccumulator) -> np.ndarray:
     return device_ages(acc).sum(axis=-1) / acc.n_devices
 
 
-def peak_age(acc: MetricsAccumulator) -> int | np.ndarray:
+def peak_age(acc: MetricsAccumulator) -> np.ndarray:
     return device_ages(acc).max(axis=-1)

@@ -80,16 +80,17 @@ class TestRaReport:
         assert (rep.wrong, rep.missed, rep.regret) == (3, 0, 0)
 
 
-class TestUsage:
-    def test_starts_at_one(self):
-        acc = MetricsAccumulator(n_devices=5, n_slots=2)
-        assert average_usage(acc) == 1.0
+def fold(acc, acts, grants):
+    """Fold one slot into the accumulator as a 1-row block."""
+    acc.advance(slot_report(acts[None], grants[None]))
 
+
+class TestUsage:
     def test_counts_useful_grants(self):
         acc = MetricsAccumulator(n_devices=5, n_slots=2)
-        acc.advance(slot_report(vec(5, [0, 1]), vec(5, [0, 1])))  # 2 useful
-        acc.advance(slot_report(vec(5, ()), vec(5, [0, 1])))  # 0 useful
-        assert average_usage(acc) == pytest.approx(2 / 4)
+        fold(acc, vec(5, [0, 1]), vec(5, [0, 1]))  # 2 useful
+        fold(acc, vec(5, ()), vec(5, [0, 1]))  # 0 useful
+        np.testing.assert_array_equal(average_usage(acc), [2 / 4])
 
     def test_bounded(self):
         rng = np.random.default_rng(3)
@@ -97,33 +98,33 @@ class TestUsage:
         for _ in range(50):
             acts = (rng.random(8) < 0.5).astype(np.uint8)
             grants = vec(8, rng.permutation(8)[:3])
-            acc.advance(slot_report(acts, grants))
-            assert 0.0 <= average_usage(acc) <= 1.0
+            fold(acc, acts, grants)
+            assert 0.0 <= average_usage(acc)[0] <= 1.0
 
 
 class TestAoi:
     def test_initial_ages_are_zero(self):
         acc = MetricsAccumulator(n_devices=4, n_slots=2)
-        np.testing.assert_array_equal(device_ages(acc), np.zeros(4))
+        np.testing.assert_array_equal(device_ages(acc), np.zeros((1, 4)))
 
     def test_age_grows_without_service(self):
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
         for t in (1, 2, 3):
-            acc.advance(slot_report(vec(3, ()), vec(3, [0])))
-        np.testing.assert_array_equal(device_ages(acc), [3, 3, 3])
-        assert peak_age(acc) == 3
-        assert average_age(acc) == pytest.approx(3.0)
+            fold(acc, vec(3, ()), vec(3, [0]))
+        np.testing.assert_array_equal(device_ages(acc), [[3, 3, 3]])
+        np.testing.assert_array_equal(peak_age(acc), [3])
+        np.testing.assert_array_equal(average_age(acc), [3.0])
 
     def test_service_resets_age(self):
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
-        acc.advance(slot_report(vec(3, [1]), vec(3, [1])))  # t=1 serves device 1
-        acc.advance(slot_report(vec(3, ()), vec(3, [0])))  # t=2 serves nobody
-        np.testing.assert_array_equal(device_ages(acc), [2, 1, 2])
+        fold(acc, vec(3, [1]), vec(3, [1]))  # t=1 serves device 1
+        fold(acc, vec(3, ()), vec(3, [0]))  # t=2 serves nobody
+        np.testing.assert_array_equal(device_ages(acc), [[2, 1, 2]])
 
     def test_grant_without_activity_does_not_serve(self):
         acc = MetricsAccumulator(n_devices=2, n_slots=1)
-        acc.advance(slot_report(vec(2, ()), vec(2, [0])))
-        np.testing.assert_array_equal(device_ages(acc), [1, 1])
+        fold(acc, vec(2, ()), vec(2, [0]))
+        np.testing.assert_array_equal(device_ages(acc), [[1, 1]])
 
     def test_exact_increment_reset_sequence(self):
         rng = np.random.default_rng(4)
@@ -133,32 +134,29 @@ class TestAoi:
         for t in range(1, 40):
             acts = (rng.random(k) < 0.5).astype(np.uint8)
             grants = vec(k, rng.permutation(k)[:2])
-            rep = slot_report(acts, grants)
-            acc.advance(rep)
-            last[rep.served == 1] = t
-            np.testing.assert_array_equal(device_ages(acc), t - last)
-            assert peak_age(acc) == (t - last).max()
-            assert average_age(acc) == pytest.approx((t - last).mean())
+            fold(acc, acts, grants)
+            last[(acts & grants) == 1] = t
+            np.testing.assert_array_equal(device_ages(acc), [t - last])
+            np.testing.assert_array_equal(peak_age(acc), [(t - last).max()])
+            assert average_age(acc)[0] == pytest.approx((t - last).mean())
 
 
 class TestAccumulator:
     def test_advance_updates_everything(self):
         acc = MetricsAccumulator(n_devices=4, n_slots=2)
-        acc.advance(slot_report(vec(4, [0, 1]), vec(4, [0, 2])))
-        assert acc.t == 1
-        assert acc.cum_regret == 1  # wrong=1, missed=1
-        assert acc.cum_used_slots == 1
-        np.testing.assert_array_equal(acc.last_served, [1, 0, 0, 0])
+        fold(acc, vec(4, [0, 1]), vec(4, [0, 2]))
+        np.testing.assert_array_equal(acc.t, [1])
+        np.testing.assert_array_equal(acc.cum_regret, [1])  # wrong=1, missed=1
+        np.testing.assert_array_equal(acc.cum_used_slots, [1])
+        np.testing.assert_array_equal(acc.last_served, [[1, 0, 0, 0]])
 
 
 def fold_series(acts, grants, block):
-    """Per-slot series from folding the slots `block` at a time, as (C, K)
-    blocks, or one (K,) slot at a time when block is None."""
+    """Per-slot series from folding the slots `block` at a time."""
     acc = MetricsAccumulator(n_devices=acts.shape[1], n_slots=2)
     out = {name: [] for name in ("regret", "cum", "usage", "avg", "peak", "ages")}
-    step = block or 1
-    for start in range(0, acts.shape[0], step):
-        rows = slice(start, start + step) if block else start
+    for start in range(0, acts.shape[0], block):
+        rows = slice(start, start + block)
         rep = slot_report(acts[rows], grants[rows])
         acc.advance(rep)
         for name, value in (
@@ -169,8 +167,32 @@ def fold_series(acts, grants, block):
             ("peak", peak_age(acc)),
             ("ages", device_ages(acc)),
         ):
-            out[name].append(value if block else np.expand_dims(value, 0))
+            out[name].append(value)
     return {name: np.concatenate(parts) for name, parts in out.items()}
+
+
+def series_by_hand(acts, grants):
+    """The same series scored slot by slot with plain numpy, as a reference."""
+    k = acts.shape[1]
+    out = {name: [] for name in ("regret", "cum", "usage", "avg", "peak", "ages")}
+    cum, used, last = 0, 0, np.zeros(k, dtype=np.int64)
+    for t in range(1, acts.shape[0] + 1):
+        served = acts[t - 1] & grants[t - 1]
+        wrong = int(grants[t - 1].sum()) - int(served.sum())
+        regret = min(wrong, int(acts[t - 1].sum()) - int(served.sum()))
+        cum, used = cum + regret, used + 2 - wrong
+        last[served == 1] = t
+        ages = t - last
+        for name, value in (
+            ("regret", regret),
+            ("cum", cum),
+            ("usage", used / (t * 2)),
+            ("avg", ages.mean()),
+            ("peak", ages.max()),
+            ("ages", ages),
+        ):
+            out[name].append(value)
+    return {name: np.array(values) for name, values in out.items()}
 
 
 class TestBlockFold:
@@ -185,7 +207,7 @@ class TestBlockFold:
             row[rng.permutation(k)[:2]] = 1
         acts[6, 0] = grants[6, 0] = 1
         grants[7:14, 0] = 0
-        reference = fold_series(acts, grants, None)
+        reference = series_by_hand(acts, grants)
         assert reference["ages"][13, 0] == 7
         for block in (1, 7, t):
             series = fold_series(acts, grants, block)

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fugrant.belief import UNOBSERVED, _predict, forward_update, init_belief
-from fugrant.metrics import MetricsAccumulator, average_usage, slot_report
+from fugrant.metrics import (
+    MetricsAccumulator,
+    average_age,
+    average_usage,
+    peak_age,
+    slot_report,
+)
 from fugrant.model import (
     ScenarioConfig,
     sample_activations,
@@ -115,8 +121,40 @@ def test_usage_stays_in_unit_interval(seed):
         acts = (rng.random(k) < rng.random()).astype(np.uint8)
         grants = np.zeros(k, dtype=np.uint8)
         grants[rng.permutation(k)[:l]] = 1
-        acc.advance(slot_report(acts, grants))
-        assert 0.0 <= average_usage(acc) <= 1.0
+        acc.advance(slot_report(acts[None], grants[None]))
+        assert 0.0 <= average_usage(acc)[0] <= 1.0
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_any_split_into_blocks_gives_the_one_block_series(sizes, k, seed):
+    # the accumulator carries its clock, sums and stamps across every
+    # boundary, so the five series do not depend on where blocks end
+    rng = np.random.default_rng(seed)
+    horizon, l = sum(sizes), int(rng.integers(1, k + 1))
+    acts = (rng.random((horizon, k)) < rng.random()).astype(np.uint8)
+    grants = np.zeros((horizon, k), dtype=np.uint8)
+    for row in grants:
+        row[rng.permutation(k)[:l]] = 1
+
+    def series(bounds):
+        acc = MetricsAccumulator(n_devices=k, n_slots=l)
+        parts = []
+        for start, stop in zip(bounds, bounds[1:]):
+            rep = slot_report(acts[start:stop], grants[start:stop])
+            acc.advance(rep)
+            parts.append(
+                (rep.regret, acc.cum_regret, average_usage(acc), average_age(acc), peak_age(acc))
+            )
+        return [np.concatenate(values) for values in zip(*parts)]
+
+    for split, whole in zip(series(np.cumsum([0, *sizes])), series([0, horizon])):
+        assert split.dtype == whole.dtype
+        assert split.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
