@@ -33,7 +33,7 @@ from .metrics import (
     MetricsAccumulator,
     average_age,
     average_usage,
-    device_ages,  # unused here; perfbench/layertrace.py looks it up on this module
+    device_ages,
     peak_age,
     ra_report,
     slot_report,
@@ -165,8 +165,10 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
         series["regret_slot"][rows] = report.regret
         series["regret_cum"][rows] = acc.cum_regret
         series["usage_avg"][rows] = average_usage(acc)
-        series["aoi_avg"][rows] = average_age(acc)
-        series["aoi_peak"][rows] = peak_age(acc)
+        ages = device_ages(acc)
+        series["aoi_avg"][rows] = average_age(ages)
+        series["aoi_peak"][rows] = peak_age(ages)
+        del ages  # freed before the next block's grants and fold
     return series
 
 
@@ -244,29 +246,17 @@ def run_monte_carlo(
     elif fixed_scenario:
         base = scenario.sample(rng_stream(master_seed, 0, "scenario"), seed=master_seed)
 
-    episodes = []
+    kept = np.empty((len(policies), len(SERIES), runs, horizon))
     for r in range(runs):
-        config = (
-            base
-            if base is not None
-            else scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
-        )
-        episodes.append(
-            run_episode(
-                config,
-                policies,
-                rng_stream(master_seed, r, "episode"),
-                belief_mode=belief_mode,
-            )
-        )
+        config = base or scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
+        rng = rng_stream(master_seed, r, "episode")
+        series = run_episode(config, policies, rng, belief_mode=belief_mode).series
+        for p, slabs in zip(policies, kept):
+            slabs[:, r] = [series[p][s] for s in SERIES]
+        del series  # only kept[:, :, r] outlives the run
 
-    mean: dict[str, dict[str, np.ndarray]] = {}
-    std: dict[str, dict[str, np.ndarray]] = {}
-    for p in policies:
-        mean[p] = {}
-        std[p] = {}
-        for s in SERIES:
-            stacked = np.stack([ep.series[p][s] for ep in episodes])
-            mean[p][s] = stacked.mean(axis=0)
-            std[p][s] = stacked.std(axis=0)
+    mean, std = {}, {}
+    for p, slabs in zip(policies, kept):  # (runs, horizon) views; std per slab stays small
+        mean[p] = {s: slab.mean(axis=0) for s, slab in zip(SERIES, slabs)}
+        std[p] = {s: slab.std(axis=0) for s, slab in zip(SERIES, slabs)}
     return AggregateResult(runs=runs, horizon=horizon, policies=policies, mean=mean, std=std)

@@ -6,10 +6,11 @@ per-slot regret is min(wrong, missed). Usage is the running fraction of
 grant slots actually consumed by a transmission. Age of information is the
 slots elapsed since each device last transmitted successfully.
 
-Every helper scores a block of C consecutive slots, (C, K) arrays with a
-leading slot axis, giving one value per slot; `slot_report` and `ra_report`
-also take one (K,) slot. How slots are split into blocks changes no bit of
-the series: all counts are exact integers and each average is one division.
+Every helper scores a block of C consecutive slots with a leading slot axis,
+one value per slot: the reports take (C, K) arrays or one (K,) slot, and
+the age readers the block's (C, K) `device_ages`. How slots are split into
+blocks changes no bit: all counts are exact integers and each average is
+one division.
 """
 
 from __future__ import annotations
@@ -106,9 +107,11 @@ def device_ages(acc: MetricsAccumulator) -> np.ndarray:
     return acc.t[:, None] - acc.last_served
 
 
-def average_age(acc: MetricsAccumulator) -> np.ndarray:
-    return device_ages(acc).sum(axis=-1) / acc.n_devices
+def average_age(ages: np.ndarray) -> np.ndarray:
+    """Mean age over devices, per slot of a (C, K) `device_ages` block."""
+    return ages.sum(axis=-1) / ages.shape[-1]
 
 
-def peak_age(acc: MetricsAccumulator) -> np.ndarray:
-    return device_ages(acc).max(axis=-1)
+def peak_age(ages: np.ndarray) -> np.ndarray:
+    """Largest age over devices, per slot of a (C, K) `device_ages` block."""
+    return ages.max(axis=-1)

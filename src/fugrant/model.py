@@ -137,9 +137,9 @@ class ScenarioConfig:
             self._cache[key] = build()
         return self._cache[key]
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {k: getattr(self, k) for k in _CONFIG_KEYS}
-        return json.dumps(doc, indent=indent, default=np.ndarray.tolist)
+        return json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

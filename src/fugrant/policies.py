@@ -24,9 +24,9 @@ def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
     same grants. Exact ties prefer the device with the larger current age
     (aoi), then the lower index.
     """
-    n_devices = forecast.shape[0]
-    order = np.lexsort((np.arange(n_devices), -np.asarray(aoi, dtype=np.float64), -forecast))
-    grants = np.zeros(n_devices, dtype=np.uint8)
+    # stable sort: ties keep index order; float64, as negating unsigned ages wraps
+    order = np.lexsort((-np.asarray(aoi, dtype=np.float64), -forecast))
+    grants = np.zeros(forecast.shape[0], dtype=np.uint8)
     grants[order[:n_slots]] = 1
     return grants
 

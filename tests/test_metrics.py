@@ -111,9 +111,10 @@ class TestAoi:
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
         for t in (1, 2, 3):
             fold(acc, vec(3, ()), vec(3, [0]))
-        np.testing.assert_array_equal(device_ages(acc), [[3, 3, 3]])
-        np.testing.assert_array_equal(peak_age(acc), [3])
-        np.testing.assert_array_equal(average_age(acc), [3.0])
+        ages = device_ages(acc)
+        np.testing.assert_array_equal(ages, [[3, 3, 3]])
+        np.testing.assert_array_equal(peak_age(ages), [3])
+        np.testing.assert_array_equal(average_age(ages), [3.0])
 
     def test_service_resets_age(self):
         acc = MetricsAccumulator(n_devices=3, n_slots=1)
@@ -136,9 +137,10 @@ class TestAoi:
             grants = vec(k, rng.permutation(k)[:2])
             fold(acc, acts, grants)
             last[(acts & grants) == 1] = t
-            np.testing.assert_array_equal(device_ages(acc), [t - last])
-            np.testing.assert_array_equal(peak_age(acc), [(t - last).max()])
-            assert average_age(acc)[0] == pytest.approx((t - last).mean())
+            ages = device_ages(acc)
+            np.testing.assert_array_equal(ages, [t - last])
+            np.testing.assert_array_equal(peak_age(ages), [(t - last).max()])
+            assert average_age(ages)[0] == pytest.approx((t - last).mean())
 
 
 class TestAccumulator:
@@ -159,13 +161,14 @@ def fold_series(acts, grants, block):
         rows = slice(start, start + block)
         rep = slot_report(acts[rows], grants[rows])
         acc.advance(rep)
+        ages = device_ages(acc)
         for name, value in (
             ("regret", rep.regret),
             ("cum", acc.cum_regret),
             ("usage", average_usage(acc)),
-            ("avg", average_age(acc)),
-            ("peak", peak_age(acc)),
-            ("ages", device_ages(acc)),
+            ("avg", average_age(ages)),
+            ("peak", peak_age(ages)),
+            ("ages", ages),
         ):
             out[name].append(value)
     return {name: np.concatenate(parts) for name, parts in out.items()}

@@ -9,6 +9,7 @@ from fugrant.metrics import (
     MetricsAccumulator,
     average_age,
     average_usage,
+    device_ages,
     peak_age,
     slot_report,
 )
@@ -147,8 +148,9 @@ def test_any_split_into_blocks_gives_the_one_block_series(sizes, k, seed):
         for start, stop in zip(bounds, bounds[1:]):
             rep = slot_report(acts[start:stop], grants[start:stop])
             acc.advance(rep)
+            ages = device_ages(acc)
             parts.append(
-                (rep.regret, acc.cum_regret, average_usage(acc), average_age(acc), peak_age(acc))
+                (rep.regret, acc.cum_regret, average_usage(acc), average_age(ages), peak_age(ages))
             )
         return [np.concatenate(values) for values in zip(*parts)]
 
@@ -172,6 +174,22 @@ def test_fu_grant_selects_a_maximal_set(k, seed):
         chosen_min = forecast[grants == 1].min()
         unchosen_max = forecast[grants == 0].max()
         assert chosen_min >= unchosen_max - 1e-12
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=1, max_size=12),
+    st.data(),
+)
+def test_fu_grant_breaks_ties_by_age_then_index(forecast, data):
+    # few distinct forecasts and ages, so most grants are decided by a tie
+    k = len(forecast)
+    aoi = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=np.uint64)
+    l = data.draw(st.integers(1, k))
+    ranked = sorted(range(k), key=lambda d: (-forecast[d], -int(aoi[d]), d))
+    expected = np.zeros(k, dtype=np.uint8)
+    expected[ranked[:l]] = 1
+    np.testing.assert_array_equal(fu_grant(np.array(forecast), l, aoi), expected)
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
