@@ -244,6 +244,11 @@ def forward_update(
     return BeliefState(w, belief.log_scale + math.log(total) + m)
 
 
+def map_index(belief: BeliefState) -> int:
+    """Index of the posterior-mode state, the lowest one on ties."""
+    return int(belief.weights.argmax())
+
+
 def state_forecast(state: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """P(device k active next slot | the (N,) process states), for all k: the
     one-step predictor. It multiplies the factors in _forecast_halves' order,
@@ -269,7 +274,7 @@ def device_forecast(
     _check_belief(belief, config)
     low, high = _forecast_halves(config)
     if mode == "map_state":
-        s_high, s_low = divmod(int(np.argmax(belief.weights)), low.shape[0])
+        s_high, s_low = divmod(map_index(belief), low.shape[0])
         return 1.0 - low[s_low] * high[s_high]
     if mode == "marginal":
         w = belief.weights.reshape(high.shape[0], low.shape[0])

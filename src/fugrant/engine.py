@@ -4,13 +4,19 @@ One episode first draws a single ground-truth trajectory, T * (N + K) bytes
 that no policy influences, and then runs each requested policy alone over
 it (a paired comparison): the fast uplink variants keep their own belief
 tracker fed by their own observations, the genie reads the true state, TDD
-counts slots, and random access needs no decision at all. Grants for slot
-t are decided from information available through slot t-1: the genie and
-the fu trackers decide slot by slot, since their tie-break ages and beliefs
-depend on earlier slots, while TDD and random access decide a block of
-slots at once. Scoring comes after the decisions and folds the block: every
-metric helper takes a leading slot axis, so a block costs a few array calls
-instead of a few per slot.
+counts slots, and random access needs no decision at all. The trajectory is
+drawn a chunk of slots at a time: one block of uniforms, the same doubles
+the slots would draw one by one, then one vectorized state step and one
+activity draw per chunk. Grants for slot t are decided from information
+available through slot t-1: the genie and the fu trackers decide slot by
+slot, since their tie-break ages and beliefs depend on earlier slots, while
+TDD and random access decide a block of slots at once. A slot-by-slot grant
+depends on ages only when the L-th and (L+1)-th forecasts tie, and its
+forecast depends only on a state (the genie's true state, or the tracker's
+MAP state in "map_state" mode), so each state's untied grant row is computed
+once per episode and reused. Scoring comes after the decisions and folds the
+block: every metric helper takes a leading slot axis, so a block costs a few
+array calls instead of a few per slot.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .belief import (
     device_forecast,
     forward_update,
     init_belief,
+    map_index,
+    state_forecast,
 )
 from .metrics import (
     MetricsAccumulator,
@@ -51,6 +59,7 @@ from .model import (
 )
 from .policies import (
     POLICIES,
+    forecast_decides,
     fu_grant,
     genie_grant,
     observe_feedback,
@@ -63,8 +72,9 @@ log = logging.getLogger(__name__)
 
 SERIES = ("regret_slot", "regret_cum", "usage_avg", "aoi_avg", "aoi_peak")
 
-# Slots per scoring block times devices: bounds each block's int64
-# temporaries near 256 KB at any K.
+# Slots per scoring block times devices, and per draw chunk times N + K:
+# bounds each block's int64 temporaries and each chunk's float64 uniforms
+# near 256 KB at any size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -119,13 +129,19 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
 
     Random access and TDD decide a whole block of slots at once; the genie
     and the fu trackers decide slot by slot, from information through the
-    previous slot, into the block's grant rows. Each block is then scored
-    in one fold.
+    previous slot, into the block's grant rows, reusing a state's grant row
+    whenever no tie lets ages change it. Each block is then scored in one
+    fold.
     """
     k, l = config.n_devices, config.n_slots
     horizon = activity.shape[0]
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
     belief = init_belief(config) if policy in ("fu_limited", "fu_feedback") else None
+    # State key -> the grant row its forecast decides without ages. The genie
+    # keys on its true state's row id; the fu trackers on their MAP state.
+    memo: dict[int, np.ndarray] = {}
+    if policy == "genie":
+        state_ids = np.unique(states, axis=0, return_inverse=True)[1]
     last_served = np.zeros(k, dtype=np.int64)  # tie-break ages for the grant loop
     series = {s: np.zeros(horizon) for s in SERIES}
     block = max(1, _BLOCK_ENTRIES // k)
@@ -141,12 +157,22 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
             grants = np.empty_like(acts)
             for i, col in enumerate(range(start, stop)):
                 if policy == "genie":
-                    grants[i] = genie_grant(states[col], config, l, col - last_served)
+                    key = state_ids[col]
+                    row = memo.get(key)
+                    if row is None:
+                        row = genie_grant(states[col], config, l, col - last_served)
+                        if forecast_decides(state_forecast(states[col], config), row):
+                            memo[key] = row
                 else:  # fu_limited, fu_feedback: decide from the belief through slot t-1
-                    forecast = device_forecast(belief, config, belief_mode)
-                    grants[i] = fu_grant(forecast, l, col - last_served)
+                    key = map_index(belief) if belief_mode == "map_state" else None
+                    row = memo.get(key)
+                    if row is None:
+                        forecast = device_forecast(belief, config, belief_mode)
+                        row = fu_grant(forecast, l, col - last_served)
+                        if key is not None and forecast_decides(forecast, row):
+                            memo[key] = row
                     if policy == "fu_limited":
-                        obs = observe_limited(grants[i], acts[i])
+                        obs = observe_limited(row, acts[i])
                     else:
                         obs = observe_feedback(acts[i])
                     try:
@@ -158,7 +184,8 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
                             policy,
                         )
                         belief = init_belief(config)
-                np.putmask(last_served, grants[i] & acts[i], col + 1)
+                grants[i] = row
+                np.putmask(last_served, row & acts[i], col + 1)
             report = slot_report(acts, grants)
 
         acc.advance(report)
@@ -184,27 +211,42 @@ def run_episode(
     The generator is split into a trajectory stream and a random-access
     stream, so the ground truth is identical no matter which policies are
     requested. The trajectory is drawn first into one (T + 1) x (N + K)
-    uint8 array; then each policy runs alone over it, so belief trackers
-    never see each other's observations.
-    Raises ConfigurationError naming the horizon when the trajectory and
-    the metric series would not fit in physical memory.
+    uint8 array, in chunks of 2^15 / (N + K) slots; then each policy runs
+    alone over it, so belief trackers never see each other's observations.
+    Raises ConfigurationError naming the horizon when the trajectory, the
+    metric series, one chunk's uniforms and one grant memo would not fit in
+    physical memory.
     """
     policies = _normalize_policies(policies)
     if belief_mode not in FORECAST_MODES:
         expected = " or ".join(map(repr, FORECAST_MODES))
         raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
-    need = (horizon + 1) * (n + k) + len(policies) * len(SERIES) * 8 * horizon
-    _check_fits(f"horizon = {horizon}", need, "the trajectory and metric series")
+    chunk = max(1, _BLOCK_ENTRIES // (n + k))
+    memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
+    need = (
+        (horizon + 1) * (n + k)
+        + len(policies) * len(SERIES) * 8 * horizon
+        + min(chunk, horizon) * (n + k) * 8
+        + memo_rows * k  # policies run one at a time, so one memo is live at once
+    )
+    _check_fits(
+        f"horizon = {horizon}", need, "the trajectory, metric series, draw chunk and grant memo"
+    )
     truth_rng, ra_rng = rng.spawn(2)
 
     # Row t of truth is slot t's hidden state, then its activity (none in row 0).
     truth = np.zeros((horizon + 1, n + k), dtype=np.uint8)
     states, activity = truth[:, :n], truth[1:, n:]  # activity row t - 1: slot t
     states[0] = truth_rng.random(n) < stationary_on_probs(config)
-    for t in range(1, horizon + 1):
-        states[t] = step_processes(states[t - 1], config, truth_rng)
-        activity[t - 1] = sample_activations(states[t], config, truth_rng)
+    # Each chunk's uniforms are the doubles the slots would draw one at a time:
+    # per slot, N for the transitions and then K for the activity.
+    for start in range(1, horizon + 1, chunk):
+        stop = min(start + chunk, horizon + 1)
+        u = truth_rng.random((stop - start, n + k))
+        states[start:stop] = step_processes(states[start - 1], config, u[:, :n])
+        activity[start - 1 : stop - 1] = sample_activations(states[start:stop], config, u[:, n:])
+    u = None  # freed before the policies run
 
     series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
     fingerprint = hashlib.sha256(truth[1:]).hexdigest()

@@ -237,28 +237,56 @@ def stationary_on_probs(config: ScenarioConfig) -> np.ndarray:
     return config.eps1 / denom
 
 
-def step_processes(
-    state: np.ndarray, config: ScenarioConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Advance every process one slot; independent per-process transitions."""
+def _uniforms(u, shape: tuple[int, ...]) -> np.ndarray:
+    """`u` itself, or `shape` uniforms drawn from `u` when it is a Generator."""
+    return u.random(shape) if isinstance(u, np.random.Generator) else np.asarray(u)
+
+
+def step_processes(state: np.ndarray, config: ScenarioConfig, u) -> np.ndarray:
+    """Advance every process through as many slots as `u` has rows.
+
+    `u` holds one uniform per process and slot, shape (N,) for one slot or
+    (C, N) for C slots (a Generator draws N of them). Process n's next state
+    is `u >= eps0[n]` when On and `u < eps1[n]` when Off. Where both tests
+    agree, the chain resets to that value whatever its state; where only
+    `u < eps1[n]` holds, it flips; otherwise it holds. So each row is its
+    last reset value XOR the parity of the flips since, and a whole block
+    takes one cumulative XOR and one running maximum, bit for bit the
+    slot-by-slot chain. Returns uint8 states of `u`'s shape.
+    """
     if state.shape != (config.n_processes,):
         raise ValueError(f"state must have shape ({config.n_processes},), got {state.shape}")
-    u = rng.random(config.n_processes)
-    on = state.astype(bool)
-    return np.where(on, u >= config.eps0, u < config.eps1).astype(np.uint8)
+    u = _uniforms(u, state.shape)
+    turn_on = (u < config.eps1).reshape(-1, state.size)
+    stay_on = (u >= config.eps0).reshape(-1, state.size)
+    # Row 0 is the state carried in, a reset to itself; row c + 1 is slot c.
+    value = np.vstack([state.astype(bool), turn_on])
+    reset = np.vstack([np.ones(state.size, bool), turn_on == stay_on])
+    parity = np.bitwise_xor.accumulate(np.vstack([np.zeros(state.size, bool), turn_on & ~stay_on]))
+    last = np.maximum.accumulate(np.where(reset, np.arange(len(value))[:, None], 0))
+    cols = np.arange(state.size)
+    out = value[last, cols] ^ parity ^ parity[last, cols]
+    return out[1:].reshape(u.shape).astype(np.uint8)
 
 
-def activation_probs(state: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """P(device k active | current process states), for all k at once."""
-    silent = np.prod(1.0 - config.q[state.astype(bool)], axis=0)
+def activation_probs(states: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """P(device k active | process states), shape (..., K) for (..., N)
+    states. The silent probability multiplies (1 - q[n]) over the On
+    processes in index order, the order of a product over the On rows."""
+    on = np.asarray(states).astype(bool)
+    silent = np.ones(on.shape[:-1] + (config.n_devices,))
+    for n, quiet in enumerate(1.0 - config.q):
+        np.multiply(silent, quiet, out=silent, where=on[..., n, None])
     return 1.0 - silent
 
 
-def sample_activations(
-    state: np.ndarray, config: ScenarioConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw the K-bit activity vector for the current process states."""
-    if state.shape != (config.n_processes,):
-        raise ValueError(f"state must have shape ({config.n_processes},), got {state.shape}")
-    p = activation_probs(state, config)
-    return (rng.random(config.n_devices) < p).astype(np.uint8)
+def sample_activations(states: np.ndarray, config: ScenarioConfig, u) -> np.ndarray:
+    """The K-bit activity of each slot: device k is active where its uniform
+    in `u` falls below P(active). `states` is (N,) or (C, N); `u` has the
+    matching (K,) or (C, K) shape (a Generator draws them)."""
+    if states.shape[-1:] != (config.n_processes,):
+        raise ValueError(
+            f"state must have shape (..., {config.n_processes}), got {states.shape}"
+        )
+    u = _uniforms(u, states.shape[:-1] + (config.n_devices,))
+    return (u < activation_probs(states, config)).astype(np.uint8)

@@ -31,6 +31,14 @@ def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
     return grants
 
 
+def forecast_decides(forecast: np.ndarray, grants: np.ndarray) -> bool:
+    """Whether fu_grant's `grants` follow from the forecast alone: every
+    granted device forecasts strictly above every other one, so no ages can
+    change the set (the L-th and (L+1)-th forecasts differ)."""
+    granted = grants.astype(bool)
+    return bool(granted.all() or forecast[granted].min() > forecast[~granted].max())
+
+
 def tdd_grant(t: int | np.ndarray, n_devices: int, n_slots: int) -> np.ndarray:
     """Round-robin: slot t grants devices (t * L + i) mod K for i < L. An
     array of slot indices gives one (K,) row per slot."""

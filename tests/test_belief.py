@@ -220,8 +220,8 @@ class TestForwardUpdate:
         state = np.array([1, 0], dtype=np.uint8)
         belief = init_belief(cfg)
         for _ in range(3):
-            state = step_processes(state, cfg, rng)
-            obs = observe_feedback(sample_activations(state, cfg, rng))
+            state = step_processes(state, cfg, rng.random(cfg.n_processes))
+            obs = observe_feedback(sample_activations(state, cfg, rng.random(cfg.n_devices)))
             log_joint = np.log(_predict(belief.weights, cfg)) + belief.log_scale
             for idx in range(cfg.n_states):
                 p = activation_probs(state_bits(idx, cfg.n_processes), cfg)
@@ -296,9 +296,9 @@ class TestForwardUpdate:
         with pytest.raises(EvidenceContradictionError):
             forward_update(init_belief(cfg), obs, cfg)
 
-        def device_1_active(state, config, rng):
-            acts = sample_activations(state, config, rng)
-            acts[1] = 1
+        def device_1_active(states, config, u):
+            acts = sample_activations(states, config, u)
+            acts[:, 1] = 1
             return acts
 
         monkeypatch.setattr(engine, "sample_activations", device_1_active)
@@ -320,8 +320,8 @@ class TestForwardUpdate:
                 np.uint8
             )
             for _ in range(3):
-                state = step_processes(state, cfg, rng)
-                acts = sample_activations(state, cfg, rng)
+                state = step_processes(state, cfg, rng.random(cfg.n_processes))
+                acts = sample_activations(state, cfg, rng.random(cfg.n_devices))
                 grants = np.zeros(cfg.n_devices, dtype=np.uint8)
                 grants[rng.permutation(cfg.n_devices)[: cfg.n_slots]] = 1
                 fb = forward_update(belief, observe_feedback(acts), cfg)
@@ -428,8 +428,8 @@ class TestEdgeValues:
         state = (rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
         observations = []
         for _ in range(cfg.horizon):
-            state = step_processes(state, cfg, rng)
-            obs = sample_activations(state, cfg, rng).astype(np.int8)
+            state = step_processes(state, cfg, rng.random(cfg.n_processes))
+            obs = sample_activations(state, cfg, rng.random(cfg.n_devices)).astype(np.int8)
             obs[rng.random(cfg.n_devices) < 0.5] = UNOBSERVED
             observations.append(obs)
         assert max(forward_filter_gaps(cfg, observations)) <= 1e-9

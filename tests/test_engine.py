@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from fugrant.engine import (
 )
 from fugrant.model import (
     ConfigurationError,
+    ScenarioConfig,
     ScenarioTemplate,
     rng_stream,
     sample_activations,
     sample_scenario,
+    state_index,
     stationary_on_probs,
     step_processes,
 )
@@ -99,8 +102,8 @@ class TestRunEpisode:
         state = (truth_rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
         hasher = hashlib.sha256()
         for _ in range(cfg.horizon):
-            state = step_processes(state, cfg, truth_rng)
-            activations = sample_activations(state, cfg, truth_rng)
+            state = step_processes(state, cfg, truth_rng.random(cfg.n_processes))
+            activations = sample_activations(state, cfg, truth_rng.random(cfg.n_devices))
             hasher.update(state.tobytes() + activations.tobytes())
         res = run_episode(cfg, ["tdd"], rng_stream(2, 0, "episode"))
         assert res.trajectory_fingerprint == hasher.hexdigest()
@@ -122,8 +125,8 @@ class TestRunEpisode:
             states = [(truth_rng.random(n) < stationary_on_probs(cfg)).astype(np.uint8)]
             activity = []
             for _ in range(cfg.horizon):
-                states.append(step_processes(states[-1], cfg, truth_rng))
-                activity.append(sample_activations(states[-1], cfg, truth_rng))
+                states.append(step_processes(states[-1], cfg, truth_rng.random(n)))
+                activity.append(sample_activations(states[-1], cfg, truth_rng.random(k)))
             res = run_episode(cfg, POLICIES, rng_stream(6, 0, "episode"))
             for policy in POLICIES:
                 expected = {s: [] for s in SERIES}
@@ -180,6 +183,20 @@ class TestRunEpisode:
     def test_empty_policy_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_episode(small_config(), [], rng_stream(0, 0, "episode"))
+
+    def test_grant_memo_counts_toward_the_horizon(self, monkeypatch):
+        # the genie also keeps a per-state grant memo, min(T, 2^N) rows of K
+        # bytes at worst; with memory for everything else it names the horizon
+        cfg = small_config(horizon=2000)
+
+        def needed_bytes(policy, have):
+            monkeypatch.setattr("os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else have)
+            with pytest.raises(ConfigurationError, match="horizon = 2000") as info:
+                run_episode(cfg, [policy], rng_stream(0, 0, "episode"))
+            return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+        without_memo = needed_bytes("tdd", 1)
+        assert needed_bytes("genie", without_memo) == without_memo + 2**3 * cfg.n_devices
 
     def test_zero_horizon_gives_empty_result(self):
         cfg = small_config(horizon=0)
@@ -240,6 +257,75 @@ class TestRunEpisode:
         lim = agg.mean["fu_limited"]["usage_avg"][-1]
         assert genie >= fb - 0.02
         assert fb >= lim - 0.02
+
+
+class TestGrantMemo:
+    # Devices 0/1 and 2/3 have equal q columns, so their forecasts are equal
+    # in every state. At L = 3 the third and fourth places tie in states 0, 3
+    # and 4 only, so the episode visits states whose grants need ages and
+    # states whose forecast alone decides them.
+    TIED = ScenarioConfig(
+        n_processes=3, n_devices=6, n_slots=3, horizon=300,
+        eps0=[0.3, 0.2, 0.4], eps1=[0.2, 0.3, 0.25],
+        q=[[0.9, 0.9, 0.2, 0.2, 0.6, 0.05],
+           [0.1, 0.1, 0.8, 0.8, 0.3, 0.5],
+           [0.3, 0.3, 0.3, 0.3, 0.7, 0.9]],
+    )
+
+    @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback", "genie"])
+    def test_tied_states_take_the_age_path_every_slot(self, policy, monkeypatch):
+        cfg = self.TIED
+        n, k, l = cfg.n_processes, cfg.n_devices, cfg.n_slots
+        truth_rng = rng_stream(1, 0, "episode").spawn(2)[0]
+        states = [(truth_rng.random(n) < stationary_on_probs(cfg)).astype(np.uint8)]
+        activity = []
+        for _ in range(cfg.horizon):
+            states.append(step_processes(states[-1], cfg, truth_rng.random(n)))
+            activity.append(sample_activations(states[-1], cfg, truth_rng.random(k)))
+
+        scored, grant_calls = [], {"n": 0}
+        real_report = engine_mod.slot_report
+
+        def counted(fn):
+            def wrapper(*args):
+                grant_calls["n"] += 1
+                return fn(*args)
+            return wrapper
+
+        def capture(acts, grants):
+            scored.append(grants.copy())
+            return real_report(acts, grants)
+
+        monkeypatch.setattr(engine_mod, "slot_report", capture)
+        monkeypatch.setattr(engine_mod, "fu_grant", counted(engine_mod.fu_grant))
+        monkeypatch.setattr(engine_mod, "genie_grant", counted(engine_mod.genie_grant))
+        run_episode(cfg, [policy], rng_stream(1, 0, "episode"))
+
+        # Replay: a forecast and an age-aware fu_grant in every slot.
+        expected, tied_visits, untied_keys = [], {}, set()
+        last_served, belief = np.zeros(k, dtype=np.int64), init_belief(cfg)
+        for t in range(1, cfg.horizon + 1):
+            if policy == "genie":
+                key, forecast = state_index(states[t - 1]), state_forecast(states[t - 1], cfg)
+            else:
+                key, forecast = int(np.argmax(belief.weights)), device_forecast(belief, cfg)
+            grants = fu_grant(forecast, l, (t - 1) - last_served)
+            ranked = np.sort(forecast)[::-1]
+            if ranked[l - 1] == ranked[l]:
+                tied_visits[key] = tied_visits.get(key, 0) + 1
+            else:
+                untied_keys.add(key)
+            if policy != "genie":
+                obs = (observe_limited(grants, activity[t - 1]) if policy == "fu_limited"
+                       else observe_feedback(activity[t - 1]))
+                belief = forward_update(belief, obs, cfg)
+            last_served[(grants & activity[t - 1]).astype(bool)] = t
+            expected.append(grants)
+
+        np.testing.assert_array_equal(np.concatenate(scored), expected)
+        assert max(tied_visits.values()) > 1 and untied_keys
+        # each tied visit recomputed its grants; each untied state once
+        assert grant_calls["n"] == sum(tied_visits.values()) + len(untied_keys)
 
 
 class TestRunMonteCarlo:

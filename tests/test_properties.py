@@ -1,10 +1,14 @@
 """Property-based tests for the math core and metric identities."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fugrant.belief import UNOBSERVED, _predict, forward_update, init_belief
+from fugrant.engine import _BLOCK_ENTRIES, run_episode
 from fugrant.metrics import (
     MetricsAccumulator,
     average_age,
@@ -15,6 +19,7 @@ from fugrant.metrics import (
 )
 from fugrant.model import (
     ScenarioConfig,
+    rng_stream,
     sample_activations,
     sample_scenario,
     state_bits,
@@ -64,6 +69,64 @@ def edge_filtering_instances(draw):
 def test_forward_filter_matches_path_enumeration_at_edge_values(instance):
     # log(0) terms must reach the weights as exact zeros, never as NaN
     assert max(forward_filter_gaps(*instance)) <= 1e-9
+
+
+@st.composite
+def edge_scenarios(draw, moving=False):
+    """Scenario whose eps0, eps1 and q entries are each exactly 0, exactly 1
+    or interior. With `moving`, no process has eps0 = eps1 = 0, so the
+    stationary start of an episode exists."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+    eps0 = draw(st.lists(prob, min_size=n, max_size=n))
+    eps1 = [draw(prob.filter(bool) if moving and not e0 else prob) for e0 in eps0]
+    q = draw(st.lists(st.lists(prob, min_size=k, max_size=k), min_size=n, max_size=n))
+    return ScenarioConfig(
+        n_processes=n, n_devices=k, n_slots=1, horizon=0, eps0=eps0, eps1=eps1, q=q
+    )
+
+
+def slot_by_slot(state, config, uniforms):
+    """Each slot's states and then activity, drawn one slot at a time: row t
+    of `uniforms` holds slot t's N transition and then K activity uniforms."""
+    n, rows = config.n_processes, []
+    for u in uniforms:
+        on = state.astype(bool)
+        state = np.where(on, u[:n] >= config.eps0, u[:n] < config.eps1).astype(np.uint8)
+        p = 1.0 - np.prod(1.0 - config.q[state.astype(bool)], axis=0)
+        rows.append(np.concatenate([state, (u[n:] < p).astype(np.uint8)]))
+    return np.array(rows)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(edge_scenarios(), st.integers(1, 40), st.integers(0, 10_000))
+def test_block_draw_equals_the_slot_by_slot_chain(config, slots, seed):
+    rng = np.random.default_rng(seed)
+    n = config.n_processes
+    start = (rng.random(n) < 0.5).astype(np.uint8)
+    u = rng.random((slots, n + config.n_devices))
+    u[rng.random(u.shape) < 0.2] = 0.0  # exact zeros meet eps and q of 0
+    expected = slot_by_slot(start, config, u)
+    states = step_processes(start, config, u[:, :n])
+    np.testing.assert_array_equal(states, expected[:, :n])
+    np.testing.assert_array_equal(sample_activations(states, config, u[:, n:]), expected[:, n:])
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(edge_scenarios(moving=True), st.sampled_from([0, 1, 2]), st.integers(0, 10_000))
+def test_episode_truth_is_the_slot_by_slot_chain_across_chunks(config, case, seed):
+    # horizons 1, one draw chunk, and one chunk plus a slot
+    n, k = config.n_processes, config.n_devices
+    chunk = _BLOCK_ENTRIES // (n + k)
+    config = dataclasses.replace(config, horizon=(1, chunk, chunk + 1)[case])
+    truth_rng = rng_stream(seed, 0, "episode").spawn(2)[0]
+    start = (truth_rng.random(n) < stationary_on_probs(config)).astype(np.uint8)
+    uniforms = [
+        np.concatenate([truth_rng.random(n), truth_rng.random(k)]) for _ in range(config.horizon)
+    ]
+    expected = slot_by_slot(start, config, uniforms)
+    res = run_episode(config, ["tdd"], rng_stream(seed, 0, "episode"))
+    assert res.trajectory_fingerprint == hashlib.sha256(expected.tobytes()).hexdigest()
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
