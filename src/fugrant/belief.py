@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, ScenarioConfig, stationary_on_probs
+from .model import ConfigurationError, ScenarioConfig, state_bits, stationary_on_probs
 
 # Per-device evidence values (int8 observation vectors).
 OBSERVED_SILENT = 0
@@ -264,19 +264,16 @@ def device_forecast(
 ) -> np.ndarray:
     """Per-device next-slot activity probabilities under the current belief.
 
-    "map_state" evaluates the one-step predictor at the posterior-mode state
-    (lowest index on ties; the default scheduling rule); "marginal" averages
-    it over the whole posterior. Both read the _forecast_halves tables, which
-    a belief of at most MAX_PROCESSES processes can always hold; the
-    map_state row equals state_forecast of the mode bit for bit, in O(K)
-    per slot instead of O(N * K).
+    "map_state" evaluates state_forecast at the posterior-mode state (lowest
+    index on ties; the default scheduling rule); "marginal" averages the
+    one-step predictor over the whole posterior, through the
+    _forecast_halves tables.
     """
     _check_belief(belief, config)
-    low, high = _forecast_halves(config)
     if mode == "map_state":
-        s_high, s_low = divmod(map_index(belief), low.shape[0])
-        return 1.0 - low[s_low] * high[s_high]
+        return state_forecast(state_bits(map_index(belief), config.n_processes), config)
     if mode == "marginal":
+        low, high = _forecast_halves(config)
         w = belief.weights.reshape(high.shape[0], low.shape[0])
         return 1.0 - ((w @ low) * high).sum(axis=0)
     expected = " or ".join(map(repr, FORECAST_MODES))

@@ -35,7 +35,6 @@ from .belief import (
     forward_update,
     init_belief,
     map_index,
-    state_forecast,
 )
 from .metrics import (
     MetricsAccumulator,
@@ -59,7 +58,6 @@ from .model import (
 )
 from .policies import (
     POLICIES,
-    forecast_decides,
     fu_grant,
     genie_grant,
     observe_feedback,
@@ -137,11 +135,9 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
     horizon = activity.shape[0]
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
     belief = init_belief(config) if policy in ("fu_limited", "fu_feedback") else None
-    # State key -> the grant row its forecast decides without ages. The genie
-    # keys on its true state's row id; the fu trackers on their MAP state.
-    memo: dict[int, np.ndarray] = {}
-    if policy == "genie":
-        state_ids = np.unique(states, axis=0, return_inverse=True)[1]
+    # State key -> the grant row its forecast decides without ages: the genie's
+    # true state bytes, a tracker's MAP state index, or None (never stored).
+    memo: dict[bytes | int, np.ndarray] = {}
     last_served = np.zeros(k, dtype=np.int64)  # tie-break ages for the grant loop
     series = {s: np.zeros(horizon) for s in SERIES}
     block = max(1, _BLOCK_ENTRIES // k)
@@ -157,20 +153,19 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
             grants = np.empty_like(acts)
             for i, col in enumerate(range(start, stop)):
                 if policy == "genie":
-                    key = state_ids[col]
-                    row = memo.get(key)
-                    if row is None:
-                        row = genie_grant(states[col], config, l, col - last_served)
-                        if forecast_decides(state_forecast(states[col], config), row):
-                            memo[key] = row
+                    key = states[col].tobytes()
                 else:  # fu_limited, fu_feedback: decide from the belief through slot t-1
                     key = map_index(belief) if belief_mode == "map_state" else None
-                    row = memo.get(key)
-                    if row is None:
+                row = memo.get(key)
+                if row is None:
+                    if policy == "genie":
+                        row, decided = genie_grant(states[col], config, l, col - last_served)
+                    else:
                         forecast = device_forecast(belief, config, belief_mode)
-                        row = fu_grant(forecast, l, col - last_served)
-                        if key is not None and forecast_decides(forecast, row):
-                            memo[key] = row
+                        row, decided = fu_grant(forecast, l, col - last_served)
+                    if decided and key is not None:
+                        memo[key] = row
+                if policy != "genie":
                     if policy == "fu_limited":
                         obs = observe_limited(row, acts[i])
                     else:
@@ -275,7 +270,7 @@ def run_monte_carlo(
     runs = check_int("runs", runs, 1)
     master_seed = check_int("seed", master_seed, 0, MAX_SEED)
     policies = _normalize_policies(policies)
-    horizon = scenario.horizon
+    horizon = check_int("horizon", scenario.horizon, 0)
     _check_fits(
         f"runs = {runs} with horizon = {horizon}",
         runs * len(policies) * len(SERIES) * 8 * horizon,

@@ -17,26 +17,21 @@ from .model import ScenarioConfig
 POLICIES = ("ra", "tdd", "fu_limited", "fu_feedback", "genie")
 
 
-def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> np.ndarray:
+def fu_grant(forecast: np.ndarray, n_slots: int, aoi: np.ndarray) -> tuple[np.ndarray, bool]:
     """Grant the n_slots devices with the highest forecast probability.
 
     Rank-based: any strictly monotone transform of the forecast yields the
     same grants. Exact ties prefer the device with the larger current age
-    (aoi), then the lower index.
+    (aoi), then the lower index. Also returns whether the forecast alone
+    decides the grants: every device is granted, or the L-th and (L+1)-th
+    ranked forecasts differ, so no ages can change the set.
     """
     # stable sort: ties keep index order; float64, as negating unsigned ages wraps
     order = np.lexsort((-np.asarray(aoi, dtype=np.float64), -forecast))
     grants = np.zeros(forecast.shape[0], dtype=np.uint8)
     grants[order[:n_slots]] = 1
-    return grants
-
-
-def forecast_decides(forecast: np.ndarray, grants: np.ndarray) -> bool:
-    """Whether fu_grant's `grants` follow from the forecast alone: every
-    granted device forecasts strictly above every other one, so no ages can
-    change the set (the L-th and (L+1)-th forecasts differ)."""
-    granted = grants.astype(bool)
-    return bool(granted.all() or forecast[granted].min() > forecast[~granted].max())
+    decided = n_slots == grants.size or forecast[order[n_slots - 1]] > forecast[order[n_slots]]
+    return grants, bool(decided)
 
 
 def tdd_grant(t: int | np.ndarray, n_devices: int, n_slots: int) -> np.ndarray:
@@ -54,9 +49,10 @@ def genie_grant(
     config: ScenarioConfig,
     n_slots: int,
     aoi: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """Fast uplink with perfect state knowledge: the one-step predictor is
-    evaluated at the true hidden state instead of a belief."""
+    evaluated at the true hidden state instead of a belief. Returns
+    fu_grant's grants and whether the forecast alone decides them."""
     return fu_grant(state_forecast(true_state, config), n_slots, aoi)
 
 

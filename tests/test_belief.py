@@ -351,9 +351,9 @@ class TestMapState:
 
 class TestDeviceForecast:
     def test_map_state_mode(self):
-        # the MAP state sets the lowest and the highest process bit, so it
-        # reads both half-width tables once n >= 2; n=1 leaves the low half
-        # empty and odd n splits the bits unequally
+        # the MAP state sets the lowest and the highest process bit, so the
+        # predictor multiplies factors from both halves once n >= 2; n=1
+        # leaves the low half empty and odd n splits the bits unequally
         for n in (1, 2, 3, 4, 7):
             cfg = make_scenario(n=n, k=4, seed=9)
             map_idx = 1 | (1 << (n - 1))

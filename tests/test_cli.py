@@ -185,6 +185,16 @@ class TestRun:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_horizon_with_preset_names_flag(self, tmp_path, capsys):
+        # a preset is a template, which holds the horizon unchecked until the run
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "run", "--preset", "fig3", "--runs", "1", "--horizon", "-5", "--out", str(out)
+        )
+        assert code == 2
+        assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_names_key(self, tmp_path, capsys):
         payload = json.loads((ScenarioConfig(
             n_processes=1,

@@ -144,9 +144,9 @@ class TestRunEpisode:
                         if policy == "tdd":
                             grants = tdd_grant(t - 1, k, l)
                         elif policy == "genie":
-                            grants = fu_grant(state_forecast(states[t - 1], cfg), l, ages)
+                            grants, _ = fu_grant(state_forecast(states[t - 1], cfg), l, ages)
                         else:
-                            grants = fu_grant(device_forecast(belief, cfg), l, ages)
+                            grants, _ = fu_grant(device_forecast(belief, cfg), l, ages)
                             obs = (observe_limited(grants, acts) if policy == "fu_limited"
                                    else observe_feedback(acts))
                             try:
@@ -283,12 +283,12 @@ class TestGrantMemo:
             states.append(step_processes(states[-1], cfg, truth_rng.random(n)))
             activity.append(sample_activations(states[-1], cfg, truth_rng.random(k)))
 
-        scored, grant_calls = [], {"n": 0}
+        scored, calls = [], {"grant": 0, "forecast": 0}
         real_report = engine_mod.slot_report
 
-        def counted(fn):
+        def counted(fn, kind):
             def wrapper(*args):
-                grant_calls["n"] += 1
+                calls[kind] += 1
                 return fn(*args)
             return wrapper
 
@@ -297,8 +297,13 @@ class TestGrantMemo:
             return real_report(acts, grants)
 
         monkeypatch.setattr(engine_mod, "slot_report", capture)
-        monkeypatch.setattr(engine_mod, "fu_grant", counted(engine_mod.fu_grant))
-        monkeypatch.setattr(engine_mod, "genie_grant", counted(engine_mod.genie_grant))
+        monkeypatch.setattr(engine_mod, "fu_grant", counted(engine_mod.fu_grant, "grant"))
+        monkeypatch.setattr(engine_mod, "genie_grant", counted(engine_mod.genie_grant, "grant"))
+        # the genie forecasts inside genie_grant, the fu trackers through the engine
+        monkeypatch.setattr("fugrant.policies.state_forecast", counted(state_forecast, "forecast"))
+        monkeypatch.setattr(
+            engine_mod, "device_forecast", counted(engine_mod.device_forecast, "forecast")
+        )
         run_episode(cfg, [policy], rng_stream(1, 0, "episode"))
 
         # Replay: a forecast and an age-aware fu_grant in every slot.
@@ -309,7 +314,7 @@ class TestGrantMemo:
                 key, forecast = state_index(states[t - 1]), state_forecast(states[t - 1], cfg)
             else:
                 key, forecast = int(np.argmax(belief.weights)), device_forecast(belief, cfg)
-            grants = fu_grant(forecast, l, (t - 1) - last_served)
+            grants, _ = fu_grant(forecast, l, (t - 1) - last_served)
             ranked = np.sort(forecast)[::-1]
             if ranked[l - 1] == ranked[l]:
                 tied_visits[key] = tied_visits.get(key, 0) + 1
@@ -325,7 +330,8 @@ class TestGrantMemo:
         np.testing.assert_array_equal(np.concatenate(scored), expected)
         assert max(tied_visits.values()) > 1 and untied_keys
         # each tied visit recomputed its grants; each untied state once
-        assert grant_calls["n"] == sum(tied_visits.values()) + len(untied_keys)
+        assert calls["grant"] == sum(tied_visits.values()) + len(untied_keys)
+        assert calls["forecast"] == calls["grant"]  # one forecast per grant call
 
 
 class TestRunMonteCarlo:

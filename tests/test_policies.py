@@ -32,28 +32,35 @@ from fugrant.policies import (
 class TestFuGrant:
     def test_exactly_l_grants(self):
         forecast = np.linspace(0, 1, 12)
-        grants = fu_grant(forecast, 5, np.zeros(12))
+        grants, _ = fu_grant(forecast, 5, np.zeros(12))
         assert grants.sum() == 5 and grants.dtype == np.uint8
 
     def test_picks_top_forecast(self):
         forecast = np.array([0.1, 0.9, 0.4, 0.8, 0.2])
-        np.testing.assert_array_equal(fu_grant(forecast, 2, np.zeros(5)), [0, 1, 0, 1, 0])
+        grants, decided = fu_grant(forecast, 2, np.zeros(5))
+        np.testing.assert_array_equal(grants, [0, 1, 0, 1, 0])
+        assert decided
 
     def test_tie_breaks_by_age_then_index(self):
         forecast = np.array([0.5, 0.5, 0.5, 0.5])
         aoi = np.array([2, 7, 7, 1])
-        # oldest first among equal forecasts; equal ages go to lower index
-        np.testing.assert_array_equal(fu_grant(forecast, 2, aoi), [0, 1, 1, 0])
-        np.testing.assert_array_equal(fu_grant(forecast, 2, np.zeros(4)), [1, 1, 0, 0])
+        # oldest first among equal forecasts; equal ages go to lower index;
+        # the forecast alone decides neither set
+        for ages, expected in ((aoi, [0, 1, 1, 0]), (np.zeros(4), [1, 1, 0, 0])):
+            grants, decided = fu_grant(forecast, 2, ages)
+            np.testing.assert_array_equal(grants, expected)
+            assert decided is False
 
     def test_forecast_dominates_age(self):
         forecast = np.array([0.9, 0.1])
         aoi = np.array([0, 1000])
-        np.testing.assert_array_equal(fu_grant(forecast, 1, aoi), [1, 0])
+        np.testing.assert_array_equal(fu_grant(forecast, 1, aoi)[0], [1, 0])
 
     def test_l_equals_k_grants_everyone(self):
-        grants = fu_grant(np.zeros(4), 4, np.zeros(4))
+        # every forecast ties, but no ages can change a set of all K devices
+        grants, decided = fu_grant(np.zeros(4), 4, np.zeros(4))
         np.testing.assert_array_equal(grants, [1, 1, 1, 1])
+        assert decided is True
 
 
 class TestTddGrant:
@@ -96,12 +103,13 @@ class TestGenieGrant:
             aoi = rng.integers(0, 20, size=8)
             point_mass = np.eye(cfg.n_states)[state_index(state)]
             forecast = [predicted_activation_by_enumeration(point_mass, k, cfg) for k in range(8)]
-            np.testing.assert_array_equal(
-                genie_grant(state, cfg, 3, aoi), fu_grant(np.array(forecast), 3, aoi)
-            )
+            grants, decided = genie_grant(state, cfg, 3, aoi)
+            expected, expected_decided = fu_grant(np.array(forecast), 3, aoi)
+            np.testing.assert_array_equal(grants, expected)
+            assert decided == expected_decided
 
     def test_equals_map_state_forecast_of_point_mass(self):
-        # the map_state row of the tables is the genie's predictor, bit for bit
+        # the map_state forecast is the genie's predictor at the MAP state
         cfg = sample_scenario(5, 9, 4, 10, 0.5, np.random.default_rng(2), seed=0)
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -111,9 +119,10 @@ class TestGenieGrant:
             point_mass[state_index(state)] = 1.0
             forecast = device_forecast(BeliefState(point_mass), cfg, "map_state")
             np.testing.assert_array_equal(state_forecast(state, cfg), forecast)
-            np.testing.assert_array_equal(
-                genie_grant(state, cfg, 4, aoi), fu_grant(forecast, 4, aoi)
-            )
+            grants, decided = genie_grant(state, cfg, 4, aoi)
+            expected, expected_decided = fu_grant(forecast, 4, aoi)
+            np.testing.assert_array_equal(grants, expected)
+            assert decided == expected_decided
 
     def test_runs_beyond_the_tracking_limit_without_state_tables(self, monkeypatch):
         # the genie holds no 2^N-sized table and no integer state index, so
@@ -228,10 +237,10 @@ def test_grant_popcount_never_exceeds_l(maker):
     rng = np.random.default_rng(8)
     for t in range(30):
         if maker == "fu":
-            grants = fu_grant(rng.random(9), 4, rng.integers(0, 9, size=9))
+            grants, _ = fu_grant(rng.random(9), 4, rng.integers(0, 9, size=9))
         elif maker == "tdd":
             grants = tdd_grant(t, 9, 4)
         else:
             state = (rng.random(3) < 0.5).astype(np.uint8)
-            grants = genie_grant(state, cfg, 4, np.zeros(9))
+            grants, _ = genie_grant(state, cfg, 4, np.zeros(9))
         assert grants.sum() == 4  # exactly L when K >= L

@@ -7,7 +7,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fugrant.belief import UNOBSERVED, _predict, forward_update, init_belief
+from fugrant.belief import (
+    UNOBSERVED,
+    BeliefState,
+    _predict,
+    device_forecast,
+    forward_update,
+    init_belief,
+    state_forecast,
+)
 from fugrant.engine import _BLOCK_ENTRIES, run_episode
 from fugrant.metrics import (
     MetricsAccumulator,
@@ -27,7 +35,12 @@ from fugrant.model import (
     stationary_on_probs,
     step_processes,
 )
-from fugrant.oracle import forward_filter_gaps, predictor_deviation, random_filtering_instance
+from fugrant.oracle import (
+    forward_filter_gaps,
+    predicted_activation_by_enumeration,
+    predictor_deviation,
+    random_filtering_instance,
+)
 from fugrant.policies import fu_grant
 
 MAX_EXAMPLES = 30
@@ -136,6 +149,27 @@ def test_predictor_matches_next_state_marginalization(seed):
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(edge_scenarios(moving=True), st.integers(0, 10_000))
+def test_predictor_matches_next_state_enumeration_at_edge_values(config, seed):
+    # the three forecasts the policies run: the genie's at a state, map_state
+    # at a point mass on it, and marginal at a random belief
+    rng = np.random.default_rng(seed)
+    state = rng.integers(0, 2, size=config.n_processes).astype(np.uint8)
+    point_mass = np.zeros(config.n_states)
+    point_mass[state_index(state)] = 1.0
+    weights = rng.random(config.n_states)
+    weights /= weights.sum()
+    for forecast, belief_weights in (
+        (state_forecast(state, config), point_mass),
+        (device_forecast(BeliefState(point_mass), config, "map_state"), point_mass),
+        (device_forecast(BeliefState(weights), config, "marginal"), weights),
+    ):
+        for k in range(config.n_devices):
+            brute = predicted_activation_by_enumeration(belief_weights, k, config)
+            assert abs(forecast[k] - brute) <= 1e-12
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
 def test_predict_step_preserves_probability_mass(seed, n):
     cfg = sample_scenario(n, 2, 1, 5, 0.5, np.random.default_rng(seed), seed=0)
@@ -231,7 +265,7 @@ def test_fu_grant_selects_a_maximal_set(k, seed):
     rng = np.random.default_rng(seed)
     l = int(rng.integers(1, k + 1))
     forecast = rng.random(k)
-    grants = fu_grant(forecast, l, np.zeros(k))
+    grants, _ = fu_grant(forecast, l, np.zeros(k))
     assert int(grants.sum()) == l
     if l < k:
         chosen_min = forecast[grants == 1].min()
@@ -252,7 +286,10 @@ def test_fu_grant_breaks_ties_by_age_then_index(forecast, data):
     ranked = sorted(range(k), key=lambda d: (-forecast[d], -int(aoi[d]), d))
     expected = np.zeros(k, dtype=np.uint8)
     expected[ranked[:l]] = 1
-    np.testing.assert_array_equal(fu_grant(np.array(forecast), l, aoi), expected)
+    grants, decided = fu_grant(np.array(forecast), l, aoi)
+    np.testing.assert_array_equal(grants, expected)
+    # ages decide only when the l-th and (l+1)-th ranked forecasts tie
+    assert decided == (l == k or forecast[ranked[l - 1]] != forecast[ranked[l]])
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
