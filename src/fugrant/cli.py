@@ -40,12 +40,8 @@ from .policies import POLICIES
 # activity so high that every policy saturates and the baselines blur
 # together.
 PRESETS = {
-    "fig3": ScenarioTemplate(
-        n_processes=10, n_devices=50, n_slots=10, horizon=2000, q_max=0.8
-    ),
-    "fig4": ScenarioTemplate(
-        n_processes=10, n_devices=100, n_slots=10, horizon=2000, q_max=0.8
-    ),
+    "fig3": ScenarioTemplate(n_processes=10, n_devices=50, n_slots=10, horizon=2000, q_max=0.8),
+    "fig4": ScenarioTemplate(n_processes=10, n_devices=100, n_slots=10, horizon=2000, q_max=0.8),
 }
 DEFAULT_RUNS = 20
 

@@ -96,8 +96,11 @@ class AggregateResult:
     std: dict[str, dict[str, np.ndarray]]
 
 
-def _normalize_policies(policies) -> tuple[str, ...]:
-    """Validate policy names; the single check behind the API and the CLI."""
+def _normalize_request(policies, belief_mode: str) -> tuple[str, ...]:
+    """Validate policy names and the belief mode; the single check behind the API and the CLI."""
+    if belief_mode not in FORECAST_MODES:
+        expected = " or ".join(map(repr, FORECAST_MODES))
+        raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
     requested = tuple(policies)
     if not requested:
         raise ConfigurationError("policy set must not be empty")
@@ -111,14 +114,25 @@ def _normalize_policies(policies) -> tuple[str, ...]:
     return tuple(p for p in POLICIES if p in requested)
 
 
-def _check_fits(setting: str, need: int, what: str) -> None:
-    """Raise ConfigurationError naming the setting when `need` bytes exceed
-    the machine's physical memory."""
+def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> None:
+    """ConfigurationError naming the horizon, and `runs` when given, unless
+    (runs + 2) * S + E bytes fit in physical memory (E alone when runs = 0).
+    One episode E: the trajectory, (T + 1)(N + K) bytes; S = P * 5 * 8 * T
+    bytes of series; one draw chunk of float64 uniforms; one grant memo of
+    min(T, 2^N) rows of K bytes when the genie or a tracker runs (policies
+    run one at a time). run_monte_carlo keeps runs * S beside E, then 2 * S
+    of mean and std."""
+    n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
+    series = len(policies) * len(SERIES) * 8 * horizon
+    chunk = min(horizon, max(1, _BLOCK_ENTRIES // (n + k)))
+    memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
+    need = (horizon + 1) * (n + k) + series + chunk * (n + k) * 8 + memo_rows * k
+    need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
+    setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigurationError(
-            f"{setting} needs {need} bytes for {what}, more than the {have} bytes "
-            f"of physical memory"
+            f"{setting} needs {need} bytes, more than the {have} bytes of physical memory"
         )
 
 
@@ -208,26 +222,14 @@ def run_episode(
     requested. The trajectory is drawn first into one (T + 1) x (N + K)
     uint8 array, in chunks of 2^15 / (N + K) slots; then each policy runs
     alone over it, so belief trackers never see each other's observations.
-    Raises ConfigurationError naming the horizon when the trajectory, the
-    metric series, one chunk's uniforms and one grant memo would not fit in
-    physical memory.
+    Before any draw, raises ConfigurationError for an unknown policy or
+    belief mode, or naming the horizon when the episode would not fit in
+    physical memory (see `_check_memory`).
     """
-    policies = _normalize_policies(policies)
-    if belief_mode not in FORECAST_MODES:
-        expected = " or ".join(map(repr, FORECAST_MODES))
-        raise ConfigurationError(f"unknown belief_mode {belief_mode!r}; expected {expected}")
+    policies = _normalize_request(policies, belief_mode)
+    _check_memory(config, policies)
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
-    memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
-    need = (
-        (horizon + 1) * (n + k)
-        + len(policies) * len(SERIES) * 8 * horizon
-        + min(chunk, horizon) * (n + k) * 8
-        + memo_rows * k  # policies run one at a time, so one memo is live at once
-    )
-    _check_fits(
-        f"horizon = {horizon}", need, "the trajectory, metric series, draw chunk and grant memo"
-    )
     truth_rng, ra_rng = rng.spawn(2)
 
     # Row t of truth is slot t's hidden state, then its activity (none in row 0).
@@ -264,18 +266,14 @@ def run_monte_carlo(
     instance is drawn up front; a concrete ScenarioConfig is inherently
     fixed. Run r always uses the streams keyed by (master_seed, r), so the
     aggregate is byte-identical regardless of how the loop is executed.
-    Raises ConfigurationError naming runs and the horizon when every run's
-    metric series, kept until the end, would not fit in physical memory.
+    Before any allocation, raises ConfigurationError naming runs and the
+    horizon when the whole run would not fit in memory (see `_check_memory`).
     """
+    policies = _normalize_request(policies, belief_mode)
     runs = check_int("runs", runs, 1)
     master_seed = check_int("seed", master_seed, 0, MAX_SEED)
-    policies = _normalize_policies(policies)
-    horizon = check_int("horizon", scenario.horizon, 0)
-    _check_fits(
-        f"runs = {runs} with horizon = {horizon}",
-        runs * len(policies) * len(SERIES) * 8 * horizon,
-        "every run's metric series",
-    )
+    _check_memory(scenario, policies, runs)
+    horizon = scenario.horizon
 
     base: ScenarioConfig | None = None
     if isinstance(scenario, ScenarioConfig):

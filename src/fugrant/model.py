@@ -77,6 +77,16 @@ def _probabilities(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _check_sizes(scenario) -> None:
+    """Coerce a scenario's N, K, L (each >= 1, L <= K) and horizon (>= 0) to ints in place."""
+    for name, low in (("n_processes", 1), ("n_devices", 1), ("n_slots", 1), ("horizon", 0)):
+        object.__setattr__(scenario, name, check_int(name, getattr(scenario, name), low))
+    if scenario.n_slots > scenario.n_devices:
+        raise ConfigurationError(
+            f"n_slots = {scenario.n_slots} exceeds n_devices = {scenario.n_devices}"
+        )
+
+
 _CONFIG_KEYS = ("n_processes", "n_devices", "n_slots", "horizon", "seed", "eps0", "eps1", "q")
 
 
@@ -111,13 +121,7 @@ class ScenarioConfig:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("n_processes", "n_devices", "n_slots"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
-        if self.n_slots > self.n_devices:
-            raise ConfigurationError(
-                f"n_slots = {self.n_slots} exceeds n_devices = {self.n_devices}"
-            )
-        object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 0))
+        _check_sizes(self)
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0, MAX_SEED))
 
         for name, shape in (
@@ -164,7 +168,7 @@ class ScenarioTemplate:
 
     Transition probabilities are uniform on (0, eps_max] (zero excluded so
     every chain actually moves) and activation probabilities uniform on
-    [0, q_max].
+    [0, q_max]. It is checked when constructed, as a ScenarioConfig is.
     """
 
     n_processes: int
@@ -174,14 +178,16 @@ class ScenarioTemplate:
     eps_max: float = 0.5
     q_max: float = 1.0
 
+    def __post_init__(self) -> None:
+        _check_sizes(self)
+        for name in ("eps_max", "q_max"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 < value <= 1):  # NaN compares false
+                raise ConfigurationError(f"{name} must be a number in (0, 1], got {value!r}")
+            object.__setattr__(self, name, float(value))
+
     def sample(self, rng: np.random.Generator, seed: int = 0) -> ScenarioConfig:
-        """Draw an instance, deterministic given `rng`. ConfigurationError
-        names a size below 1 or an eps_max or q_max outside (0, 1]."""
-        for name in ("n_processes", "n_devices", "n_slots"):
-            check_int(name, getattr(self, name), 1)
-        for name, value in (("eps_max", self.eps_max), ("q_max", self.q_max)):
-            if not 0.0 < value <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
+        """Draw an instance, deterministic given `rng`."""
         # 1 - U maps [0, 1) draws onto (0, 1], keeping exact zeros out.
         eps0 = self.eps_max * (1.0 - rng.random(self.n_processes))
         eps1 = self.eps_max * (1.0 - rng.random(self.n_processes))
@@ -210,9 +216,8 @@ def sample_scenario(
     seed: int = 0,
 ) -> ScenarioConfig:
     """Draw a random scenario instance; see ScenarioTemplate."""
-    return ScenarioTemplate(n_processes, n_devices, n_slots, horizon, eps_max, q_max).sample(
-        rng, seed
-    )
+    template = ScenarioTemplate(n_processes, n_devices, n_slots, horizon, eps_max, q_max)
+    return template.sample(rng, seed)
 
 
 def state_index(bits: np.ndarray) -> int:

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import fugrant
-from fugrant.cli import CSV_HEADER, main
-from fugrant.model import ScenarioConfig
+from fugrant.cli import CSV_HEADER, PRESETS, main
+from fugrant.model import ConfigurationError, ScenarioConfig, ScenarioTemplate
 
 
 @pytest.fixture
@@ -186,7 +187,7 @@ class TestRun:
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_horizon_with_preset_names_flag(self, tmp_path, capsys):
-        # a preset is a template, which holds the horizon unchecked until the run
+        # a preset is a template, which checks the overriding horizon when replaced
         out = tmp_path / "x.csv"
         code = run_cli(
             "run", "--preset", "fig3", "--runs", "1", "--horizon", "-5", "--out", str(out)
@@ -194,6 +195,16 @@ class TestRun:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: dataclasses.replace(PRESETS["fig3"], horizon=-5),
+         lambda: ScenarioTemplate(2, 3, 1, horizon=True)],
+        ids=["preset-replaced", "bool"],
+    )
+    def test_template_horizon_checked_at_construction(self, build):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            build()
 
     def test_bad_config_names_key(self, tmp_path, capsys):
         payload = json.loads((ScenarioConfig(

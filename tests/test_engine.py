@@ -15,6 +15,7 @@ from fugrant.belief import (
     init_belief,
     state_forecast,
 )
+from fugrant.cli import PRESETS
 from fugrant.engine import (
     SERIES,
     EpisodeResult,
@@ -197,6 +198,33 @@ class TestRunEpisode:
 
         without_memo = needed_bytes("tdd", 1)
         assert needed_bytes("genie", without_memo) == without_memo + 2**3 * cfg.n_devices
+
+    def test_whole_run_need_adds_the_episode_to_every_kept_series(self, monkeypatch):
+        # run_monte_carlo holds one episode E beside every run's series S and
+        # then builds their mean and std: (runs + 2) * S + E bytes at the peak
+        tpl, have = PRESETS["fig3"], {"bytes": 1}
+        assert tpl.horizon == 2000
+        monkeypatch.setattr(
+            "os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else have["bytes"]
+        )
+        cfg = tpl.sample(rng_stream(0, 0, "scenario"))
+        with pytest.raises(ConfigurationError, match="horizon = 2000") as info:
+            run_episode(cfg, ["ra"], rng_stream(0, 0, "episode"))
+        episode = int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+        whole = (1 + 2) * len(SERIES) * 8 * tpl.horizon + episode
+
+        real_step = engine_mod.step_processes
+
+        def no_slot(*args):
+            raise AssertionError("a slot was simulated")
+
+        monkeypatch.setattr(engine_mod, "step_processes", no_slot)
+        have["bytes"] = whole - 1
+        with pytest.raises(ConfigurationError, match="runs = 1 with horizon = 2000"):
+            run_monte_carlo(tpl, runs=1, master_seed=0, policies=["ra"])
+        monkeypatch.setattr(engine_mod, "step_processes", real_step)
+        have["bytes"] = whole
+        assert run_monte_carlo(tpl, runs=1, master_seed=0, policies=["ra"]).horizon == 2000
 
     def test_zero_horizon_gives_empty_result(self):
         cfg = small_config(horizon=0)
@@ -399,8 +427,13 @@ class TestRunMonteCarlo:
             run_monte_carlo(small_config(), runs=runs, master_seed=seed, policies=["ra"])
 
     @pytest.mark.parametrize("policies", [["ra", "tdd"], ["fu_limited"]])
-    def test_unknown_belief_mode_rejected(self, policies):
+    def test_unknown_belief_mode_rejected(self, policies, monkeypatch):
         tpl = ScenarioTemplate(n_processes=3, n_devices=8, n_slots=3, horizon=10)
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a scenario was sampled")
+
+        monkeypatch.setattr(ScenarioTemplate, "sample", no_sample)
         with pytest.raises(ConfigurationError, match="belief_mode"):
             run_monte_carlo(tpl, 1, 0, policies, belief_mode="bogus")
 

@@ -312,11 +312,14 @@ class TestSampling:
         with pytest.raises(ConfigurationError, match="n_processes"):
             sample_scenario(True, 3, 1, 5, 0.5, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("key, value", [("eps_max", 0.0), ("q_max", 1.5)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eps_max", 0.0), ("q_max", 1.5), ("q_max", "0.5"), ("q_max", None),
+         ("eps_max", True), ("eps_max", float("nan")), ("q_max", float("nan"))],
+    )
     def test_range_out_of_unit_interval_rejected(self, key, value):
-        tpl = ScenarioTemplate(n_processes=2, n_devices=3, n_slots=1, horizon=5, **{key: value})
         with pytest.raises(ConfigurationError, match=key):
-            tpl.sample(np.random.default_rng(0))
+            ScenarioTemplate(n_processes=2, n_devices=3, n_slots=1, horizon=5, **{key: value})
 
     def test_template_sample_matches_function(self):
         tpl = ScenarioTemplate(
