@@ -45,7 +45,7 @@ PRESETS = {
 }
 DEFAULT_RUNS = 20
 
-CSV_HEADER = "t,policy,run_stat,regret_slot,regret_cum,usage_avg,aoi_avg,aoi_peak"
+CSV_HEADER = "t,policy,run_stat," + ",".join(SERIES)
 
 
 def _fmt(x: float) -> str:

@@ -4,19 +4,19 @@ One episode first draws a single ground-truth trajectory, T * (N + K) bytes
 that no policy influences, and then runs each requested policy alone over
 it (a paired comparison): the fast uplink variants keep their own belief
 tracker fed by their own observations, the genie reads the true state, TDD
-counts slots, and random access needs no decision at all. The trajectory is
-drawn a chunk of slots at a time: one block of uniforms, the same doubles
-the slots would draw one by one, then one vectorized state step and one
-activity draw per chunk. Grants for slot t are decided from information
-available through slot t-1: the genie and the fu trackers decide slot by
-slot, since their tie-break ages and beliefs depend on earlier slots, while
-TDD and random access decide a block of slots at once. A slot-by-slot grant
-depends on ages only when the L-th and (L+1)-th forecasts tie, and its
-forecast depends only on a state (the genie's true state, or the tracker's
-MAP state in "map_state" mode), so each state's untied grant row is computed
-once per episode and reused. Scoring comes after the decisions and folds the
-block: every metric helper takes a leading slot axis, so a block costs a few
-array calls instead of a few per slot.
+counts slots, and random access needs no decision at all. Both passes go by
+the same chunks of slots: the draw takes one block of uniforms per chunk
+(the doubles the slots would draw one by one), one vectorized state step and
+one activity draw, and each policy decides and scores it. Grants for slot t
+are decided from information available through slot t-1: the genie and the
+fu trackers decide slot by slot, since their tie-break ages and beliefs
+depend on earlier slots, while TDD and random access decide a chunk at once.
+A slot-by-slot grant depends on ages only when the L-th and (L+1)-th
+forecasts tie, and its forecast depends only on a state (the genie's true
+state, or the tracker's MAP state in "map_state" mode), so each state's
+untied grant row is computed once per episode and reused. Scoring comes
+after the decisions and folds the chunk: every metric helper takes a leading
+slot axis, so a chunk costs a few array calls, not a few per slot.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ log = logging.getLogger(__name__)
 
 SERIES = ("regret_slot", "regret_cum", "usage_avg", "aoi_avg", "aoi_peak")
 
-# Slots per scoring block times devices, and per draw chunk times N + K:
-# bounds each block's int64 temporaries and each chunk's float64 uniforms
-# near 256 KB at any size.
+# Slots per chunk times N + K: bounds one chunk's float64 uniforms, and the
+# int64 temporaries of scoring it, near 256 KB at any size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -114,39 +113,40 @@ def _normalize_request(policies, belief_mode: str) -> tuple[str, ...]:
     return tuple(p for p in POLICIES if p in requested)
 
 
-def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> None:
-    """ConfigurationError naming the horizon, and `runs` when given, unless
+def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> int:
+    """The chunk, in slots, that the draw and the scoring share; raises
+    ConfigurationError naming the horizon, `runs` when given, N and K unless
     (runs + 2) * S + E bytes fit in physical memory (E alone when runs = 0).
     One episode E: the trajectory, (T + 1)(N + K) bytes; S = P * 5 * 8 * T
-    bytes of series; one draw chunk of float64 uniforms; one grant memo of
-    min(T, 2^N) rows of K bytes when the genie or a tracker runs (policies
-    run one at a time). run_monte_carlo keeps runs * S beside E, then 2 * S
-    of mean and std."""
+    bytes of series; min(T, chunk) rows of N + K float64 uniforms; a grant
+    memo of min(T, 2^N) rows of K bytes when the genie or a tracker runs
+    (one policy at a time). run_monte_carlo adds runs * S, then 2 * S."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
+    chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon
-    chunk = min(horizon, max(1, _BLOCK_ENTRIES // (n + k)))
     memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
-    need = (horizon + 1) * (n + k) + series + chunk * (n + k) * 8 + memo_rows * k
+    need = (horizon + 1) * (n + k) + series + min(horizon, chunk) * (n + k) * 8 + memo_rows * k
     need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
     setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigurationError(
-            f"{setting} needs {need} bytes, more than the {have} bytes of physical memory"
+            f"{setting} (n_processes = {n}, n_devices = {k}) needs {need} bytes,"
+            f" more than the {have} bytes of physical memory"
         )
+    return chunk
 
 
-def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[str, np.ndarray]:
+def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[str, np.ndarray]:
     """One policy's metric series over the drawn trajectory, all its state kept local.
 
-    Random access and TDD decide a whole block of slots at once; the genie
-    and the fu trackers decide slot by slot, from information through the
-    previous slot, into the block's grant rows, reusing a state's grant row
-    whenever no tie lets ages change it. Each block is then scored in one
-    fold.
+    Goes by the chunks the trajectory was drawn in. Random access and TDD
+    decide a whole chunk at once; the genie and the fu trackers decide slot
+    by slot, from information through the previous slot, into the chunk's
+    grant rows, reusing a state's grant row whenever no tie lets ages change
+    it. Each chunk is then scored in one fold.
     """
-    k, l = config.n_devices, config.n_slots
-    horizon = activity.shape[0]
+    k, l, horizon = config.n_devices, config.n_slots, config.horizon
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
     belief = init_belief(config) if policy in ("fu_limited", "fu_feedback") else None
     # State key -> the grant row its forecast decides without ages: the genie's
@@ -154,9 +154,8 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
     memo: dict[bytes | int, np.ndarray] = {}
     last_served = np.zeros(k, dtype=np.int64)  # tie-break ages for the grant loop
     series = {s: np.zeros(horizon) for s in SERIES}
-    block = max(1, _BLOCK_ENTRIES // k)
-    for start in range(0, horizon, block):
-        stop = min(start + block, horizon)
+    for start in range(0, horizon, chunk):
+        stop = min(start + chunk, horizon)
         rows = slice(start, stop)
         acts = activity[rows]
         if policy == "ra":
@@ -169,13 +168,13 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
                 if policy == "genie":
                     key = states[col].tobytes()
                 else:  # fu_limited, fu_feedback: decide from the belief through slot t-1
-                    key = map_index(belief) if belief_mode == "map_state" else None
+                    key = map_index(belief) if mode == "map_state" else None
                 row = memo.get(key)
                 if row is None:
                     if policy == "genie":
                         row, decided = genie_grant(states[col], config, l, col - last_served)
                     else:
-                        forecast = device_forecast(belief, config, belief_mode)
+                        forecast = device_forecast(belief, config, mode)
                         row, decided = fu_grant(forecast, l, col - last_served)
                     if decided and key is not None:
                         memo[key] = row
@@ -204,7 +203,7 @@ def _run_policy(policy, config, states, activity, ra_rng, belief_mode) -> dict[s
         ages = device_ages(acc)
         series["aoi_avg"][rows] = average_age(ages)
         series["aoi_peak"][rows] = peak_age(ages)
-        del ages  # freed before the next block's grants and fold
+        del ages  # freed before the next chunk's grants and fold
     return series
 
 
@@ -221,15 +220,14 @@ def run_episode(
     stream, so the ground truth is identical no matter which policies are
     requested. The trajectory is drawn first into one (T + 1) x (N + K)
     uint8 array, in chunks of 2^15 / (N + K) slots; then each policy runs
-    alone over it, so belief trackers never see each other's observations.
-    Before any draw, raises ConfigurationError for an unknown policy or
-    belief mode, or naming the horizon when the episode would not fit in
-    physical memory (see `_check_memory`).
+    alone over it, chunk by chunk, so belief trackers never see each
+    other's observations. Before any draw, raises ConfigurationError for an
+    unknown policy or belief mode, or naming the horizon, N and K when the
+    episode would not fit in physical memory (see `_check_memory`).
     """
     policies = _normalize_request(policies, belief_mode)
-    _check_memory(config, policies)
+    chunk = _check_memory(config, policies)
     n, k, horizon = config.n_processes, config.n_devices, config.horizon
-    chunk = max(1, _BLOCK_ENTRIES // (n + k))
     truth_rng, ra_rng = rng.spawn(2)
 
     # Row t of truth is slot t's hidden state, then its activity (none in row 0).
@@ -245,7 +243,9 @@ def run_episode(
         activity[start - 1 : stop - 1] = sample_activations(states[start:stop], config, u[:, n:])
     u = None  # freed before the policies run
 
-    series = {p: _run_policy(p, config, states, activity, ra_rng, belief_mode) for p in policies}
+    series = {
+        p: _run_policy(p, config, states, activity, ra_rng, belief_mode, chunk) for p in policies
+    }
     fingerprint = hashlib.sha256(truth[1:]).hexdigest()
     return EpisodeResult(policies=policies, series=series, trajectory_fingerprint=fingerprint)
 
@@ -266,8 +266,8 @@ def run_monte_carlo(
     instance is drawn up front; a concrete ScenarioConfig is inherently
     fixed. Run r always uses the streams keyed by (master_seed, r), so the
     aggregate is byte-identical regardless of how the loop is executed.
-    Before any allocation, raises ConfigurationError naming runs and the
-    horizon when the whole run would not fit in memory (see `_check_memory`).
+    Before any allocation, raises ConfigurationError naming runs, horizon,
+    N and K when the whole run would not fit in memory (see `_check_memory`).
     """
     policies = _normalize_request(policies, belief_mode)
     runs = check_int("runs", runs, 1)
@@ -275,15 +275,14 @@ def run_monte_carlo(
     _check_memory(scenario, policies, runs)
     horizon = scenario.horizon
 
-    base: ScenarioConfig | None = None
-    if isinstance(scenario, ScenarioConfig):
-        base = scenario
-    elif fixed_scenario:
-        base = scenario.sample(rng_stream(master_seed, 0, "scenario"), seed=master_seed)
+    if fixed_scenario and isinstance(scenario, ScenarioTemplate):
+        scenario = scenario.sample(rng_stream(master_seed, 0, "scenario"), seed=master_seed)
 
     kept = np.empty((len(policies), len(SERIES), runs, horizon))
     for r in range(runs):
-        config = base or scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
+        config = scenario
+        if isinstance(scenario, ScenarioTemplate):
+            config = scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
         rng = rng_stream(master_seed, r, "episode")
         series = run_episode(config, policies, rng, belief_mode=belief_mode).series
         for p, slabs in zip(policies, kept):

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import fugrant
-from fugrant.cli import CSV_HEADER, PRESETS, main
+from fugrant.cli import CSV_HEADER, PRESETS, main, render_csv, render_json
+from fugrant.engine import SERIES, run_monte_carlo
 from fugrant.model import ConfigurationError, ScenarioConfig, ScenarioTemplate
+from fugrant.policies import POLICIES
 
 
 @pytest.fixture
@@ -312,6 +314,36 @@ class TestRun:
         run_cli("run", "--config", config_path, "--runs", "1", "--out", str(out))
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
+
+
+class TestRender:
+    @pytest.mark.parametrize("emit", ["per-slot", "summary"])
+    @pytest.mark.parametrize("horizon", [12, 0])
+    def test_csv_and_json_agree(self, emit, horizon):
+        # one result rendered both ways: each CSV row is the JSON entry at its t
+        tpl = ScenarioTemplate(n_processes=2, n_devices=4, n_slots=2, horizon=horizon)
+        result = run_monte_carlo(tpl, runs=2, master_seed=3, policies=POLICIES)
+        header, *rows = render_csv(result, emit).splitlines()
+        payload = json.loads(render_json(result, emit))
+        assert header == CSV_HEADER
+        if horizon == 0:
+            assert rows == [] and payload["t"] == []
+            assert all(
+                values == []
+                for stats in payload["series"].values()
+                for series in stats.values()
+                for values in series.values()
+            )
+            return
+        assert payload["t"] == ([12] if emit == "summary" else list(range(1, 13)))
+        expected = [
+            f"{t},{policy},{stat},"
+            + ",".join(format(payload["series"][policy][stat][s][i], ".12g") for s in SERIES)
+            for i, t in enumerate(payload["t"])
+            for policy in payload["policies"]
+            for stat in ("mean", "std")
+        ]
+        assert rows == expected
 
 
 class TestValidate:

@@ -117,8 +117,8 @@ class TestRunEpisode:
         # the genie forecasts from the previous slot's true state; the fu
         # trackers see their own evidence and restart from the prior on a
         # contradiction.
-        # 2 * 4096 + 100 slots at K=8 cross the scoring-block boundaries after
-        # slots 4096 and 8192 (2^15 entries per block) and end inside a block.
+        # 2 * 4096 + 100 slots at N=3, K=8 cross the chunk boundaries after
+        # slots 2978 and 5956 (2^15 // 11 per chunk) and end inside a chunk.
         for horizon in (1, 200, 2 * 4096 + 100):
             cfg = small_config(seed=6, horizon=horizon)
             n, k, l = cfg.n_processes, cfg.n_devices, cfg.n_slots
@@ -403,10 +403,26 @@ class TestRunMonteCarlo:
         stacked = np.stack([ep.series["tdd"]["regret_cum"] for ep in manual])
         np.testing.assert_array_equal(fixed.mean["tdd"]["regret_cum"], stacked.mean(0))
 
-    def test_concrete_config_accepted(self):
+    @pytest.mark.parametrize("fixed_scenario", [False, True])
+    def test_concrete_config_accepted(self, fixed_scenario):
         cfg = small_config(horizon=20)
-        agg = run_monte_carlo(cfg, runs=2, master_seed=0, policies=["ra"])
+        agg = run_monte_carlo(
+            cfg, runs=2, master_seed=0, policies=["ra"], fixed_scenario=fixed_scenario
+        )
         assert agg.runs == 2 and agg.horizon == 20
+
+    def test_memory_refusal_names_the_processes(self, monkeypatch):
+        # at N = 100000 the N-sized trajectory and draw chunk are nearly all
+        # of the need, so the message names N and K beside runs and horizon
+        def no_slot(*args):
+            raise AssertionError("a slot was simulated")
+
+        monkeypatch.setattr(engine_mod, "step_processes", no_slot)
+        monkeypatch.setattr("os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else 100_000)
+        with pytest.raises(ConfigurationError, match="runs = 1 with horizon = 10") as info:
+            run_monte_carlo(ScenarioTemplate(100_000, 10, 1, 10), 1, 0, ["ra"])
+        assert "n_processes = 100000" in str(info.value)
+        assert "n_devices = 10" in str(info.value)
 
     def test_single_run_std_is_zero(self):
         agg = run_monte_carlo(
