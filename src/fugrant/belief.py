@@ -35,9 +35,10 @@ MAX_PROCESSES = 24  # 2^24 weights is the largest belief we are willing to hold
 # The modes of device_forecast, also the engine's and CLI's belief modes.
 FORECAST_MODES = ("map_state", "marginal")
 
-# The (2^N, K) log-activation table is cached only up to this many entries
-# (64 MiB); past it each active device's column is rebuilt per slot from the
-# half-width tables, which keeps the emission in O(2^N) transient memory.
+# The log-activation table, a row of 2^N per device, is cached only up to
+# this many entries (64 MiB); past it each active device's row is rebuilt per
+# slot from the half-width tables, which keeps the emission in O(2^N)
+# transient memory.
 _TABLE_MAX_ENTRIES = 1 << 23
 
 # log(0) is clamped to this finite value because BLAS turns -inf * 0 into NaN.
@@ -174,34 +175,57 @@ def _evidence_halves(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_active(config: ScenarioConfig, cols) -> np.ndarray:
-    """log P(device active | state) for the device columns `cols`, shape
-    (2^N, len(cols)); expm1 keeps it finite where 1 - prod(1 - q) is 0."""
-    low, high = _evidence_halves(config)
-    t = (high[:, None, cols] + low[None, :, cols]).reshape(config.n_states, -1)
+    """log P(device active | state) for the device columns `cols`, one
+    C-contiguous row of 2^N per device, shape (len(cols), 2^N); expm1 keeps it
+    finite where 1 - prod(1 - q) is 0."""
+    low, high = (np.ascontiguousarray(half.T[cols]) for half in _evidence_halves(config))
+    t = np.add(high[:, :, None], low[:, None, :], order="C").reshape(-1, config.n_states)
     with np.errstate(divide="ignore"):
         np.log(np.negative(np.expm1(t, out=t), out=t), out=t)
     return np.maximum(t, _LOG_FLOOR, out=t)
 
 
+def _filter_bytes(n: int, k: int) -> int:
+    """Peak bytes of one tracker at N processes and K devices: four 2^N-float
+    vectors (old and new weights, the log-evidence and one temporary), the
+    evidence and forecast half tables, and the (2^N, K) log-activation table
+    when _log_evidence caches it."""
+    states, h = 1 << n, n // 2
+    table = states * k if states * k <= _TABLE_MAX_ENTRIES else 0
+    return 8 * (4 * states + 2 * ((1 << h) + (1 << (n - h))) * k + table)
+
+
 def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     """Log-likelihood of the slot's evidence for every state, shape (2^N,),
-    or None when no device is observed. Active devices add their columns of
-    the log P(active | state) table, cached up to _TABLE_MAX_ENTRIES. Silent
-    devices factor over the two process halves (QuickScore; Heckerman 1989)."""
+    or None when no device is observed. Each active device adds its row of
+    log P(active | state), cached as one table up to _TABLE_MAX_ENTRIES:
+    when more than a quarter of the devices are active, as one GEMV over the
+    table; otherwise, and at every slot above the cap, row by row in index
+    order, so a slot reads only the rows it saw. Silent devices factor over
+    the two process halves (QuickScore; Heckerman 1989)."""
     active = obs == OBSERVED_ACTIVE
     silent = obs == OBSERVED_SILENT
-    if not (active.any() or silent.any()):
-        return None
-    if config.n_states * config.n_devices <= _TABLE_MAX_ENTRIES:
-        table = config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
-        le = table @ active.astype(float)
-    else:
-        le = np.zeros(config.n_states)
-        for k in np.flatnonzero(active):
-            le += _log_active(config, [k])[:, 0]
-    low, high = _evidence_halves(config)
-    s = silent.astype(float)
-    le += ((high @ s)[:, None] + low @ s).reshape(-1)
+    n_active, le = np.count_nonzero(active), None
+    if n_active:
+        table = None
+        if config.n_states * config.n_devices <= _TABLE_MAX_ENTRIES:
+            table = config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
+        if table is not None and 4 * n_active > config.n_devices:
+            le = active.astype(float) @ table
+        else:
+            rows = (_log_active(config, [k])[0] if table is None else table[k]
+                    for k in np.flatnonzero(active).tolist())
+            le = next(rows).copy()
+            for row in rows:
+                le += row
+    if silent.any():
+        low, high = _evidence_halves(config)
+        s = silent.astype(float)
+        term = ((high @ s)[:, None] + low @ s).reshape(-1)
+        if le is None:
+            le = term
+        else:
+            le += term
     return le
 
 

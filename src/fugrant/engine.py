@@ -31,6 +31,7 @@ import numpy as np
 from .belief import (
     FORECAST_MODES,
     EvidenceContradictionError,
+    _filter_bytes,
     device_forecast,
     forward_update,
     init_belief,
@@ -120,12 +121,15 @@ def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: i
     One episode E: the trajectory, (T + 1)(N + K) bytes; S = P * 5 * 8 * T
     bytes of series; min(T, chunk) rows of N + K float64 uniforms; a grant
     memo of min(T, 2^N) rows of K bytes when the genie or a tracker runs
-    (one policy at a time). run_monte_carlo adds runs * S, then 2 * S."""
+    (one policy at a time); and when a tracker runs, its belief vectors and
+    evidence tables (see belief._filter_bytes). run_monte_carlo adds
+    runs * S, then 2 * S."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon
     memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
     need = (horizon + 1) * (n + k) + series + min(horizon, chunk) * (n + k) * 8 + memo_rows * k
+    need += _filter_bytes(n, k) if {"fu_limited", "fu_feedback"} & set(policies) else 0
     need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
     setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -14,9 +14,12 @@ from fugrant.belief import (
     OBSERVED_ACTIVE,
     OBSERVED_SILENT,
     UNOBSERVED,
+    _LOG_FLOOR,
     BeliefState,
     CapacityError,
     EvidenceContradictionError,
+    _evidence_halves,
+    _log_active,
     _log_evidence,
     _predict,
     device_forecast,
@@ -168,6 +171,20 @@ class TestEmission:
         without_table = np.exp(_log_evidence(obs, cfg2))
         assert "belief.log_active_table" not in cfg2._cache
         np.testing.assert_allclose(with_table, without_table, atol=1e-14)
+
+    @pytest.mark.parametrize("cols", [[4, 0, 2], slice(None)], ids=["list", "all"])
+    def test_log_active_is_one_contiguous_row_per_device(self, cols):
+        # a strided "row" would make every sparse evidence read slow
+        cfg = make_scenario(n=5, k=6, seed=7)
+        low, high = _evidence_halves(cfg)
+        h, s = cfg.n_processes // 2, np.arange(cfg.n_states)
+        devices = np.arange(cfg.n_devices)[cols]
+        rows = _log_active(cfg, cols)
+        assert rows.flags.c_contiguous and rows.shape == (len(devices), cfg.n_states)
+        for row, c in zip(rows, devices):
+            with np.errstate(divide="ignore"):
+                expected = np.log(-np.expm1(low[s % 2**h, c] + high[s >> h, c]))
+            np.testing.assert_array_equal(row, np.maximum(expected, _LOG_FLOOR))
 
     def test_per_device_path_caches_only_half_width_tables(self, monkeypatch):
         monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)

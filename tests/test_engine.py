@@ -199,6 +199,42 @@ class TestRunEpisode:
         without_memo = needed_bytes("tdd", 1)
         assert needed_bytes("genie", without_memo) == without_memo + 2**3 * cfg.n_devices
 
+    @pytest.mark.parametrize("tracker", ["fu_limited", "fu_feedback"])
+    def test_filter_tables_count_toward_the_episode(self, tracker, monkeypatch):
+        # a tracker also holds 2^N-float belief vectors and, when cached, the
+        # (2^N, K) log-activation table: an episode that fits without the
+        # table but not with it is refused before any slot, naming N
+        cfg = small_config()
+
+        def needed_bytes(policy):
+            monkeypatch.setattr("os.sysconf", lambda name: 1)
+            with pytest.raises(ConfigurationError, match="horizon = 40") as info:
+                run_episode(cfg, [policy], rng_stream(0, 0, "episode"))
+            return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+        with monkeypatch.context() as patch:
+            patch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
+            without_table = needed_bytes(tracker)
+        with_table = needed_bytes(tracker)
+        assert with_table == without_table + cfg.n_states * cfg.n_devices * 8
+        assert without_table >= needed_bytes("genie") + 4 * cfg.n_states * 8
+
+        def no_slot(*args):
+            raise AssertionError("a slot was simulated")
+
+        real_step = engine_mod.step_processes
+        monkeypatch.setattr(engine_mod, "step_processes", no_slot)
+        monkeypatch.setattr(
+            "os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else without_table
+        )
+        with pytest.raises(ConfigurationError, match="n_processes = 3"):
+            run_episode(cfg, [tracker], rng_stream(0, 0, "episode"))
+        monkeypatch.setattr(engine_mod, "step_processes", real_step)
+        monkeypatch.setattr(
+            "os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else with_table
+        )
+        assert run_episode(cfg, [tracker], rng_stream(0, 0, "episode")).policies == (tracker,)
+
     def test_whole_run_need_adds_the_episode_to_every_kept_series(self, monkeypatch):
         # run_monte_carlo holds one episode E beside every run's series S and
         # then builds their mean and std: (runs + 2) * S + E bytes at the peak

@@ -2,14 +2,20 @@
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fugrant.belief import (
+    OBSERVED_ACTIVE,
+    OBSERVED_SILENT,
     UNOBSERVED,
     BeliefState,
+    _evidence_halves,
+    _log_active,
+    _log_evidence,
     _predict,
     device_forecast,
     forward_update,
@@ -85,11 +91,11 @@ def test_forward_filter_matches_path_enumeration_at_edge_values(instance):
 
 
 @st.composite
-def edge_scenarios(draw, moving=False):
+def edge_scenarios(draw, moving=False, max_n=4, max_k=5):
     """Scenario whose eps0, eps1 and q entries are each exactly 0, exactly 1
     or interior. With `moving`, no process has eps0 = eps1 = 0, so the
     stationary start of an episode exists."""
-    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, max_k))
     prob = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
     eps0 = draw(st.lists(prob, min_size=n, max_size=n))
     eps1 = [draw(prob.filter(bool) if moving and not e0 else prob) for e0 in eps0]
@@ -97,6 +103,52 @@ def edge_scenarios(draw, moving=False):
     return ScenarioConfig(
         n_processes=n, n_devices=k, n_slots=1, horizon=0, eps0=eps0, eps1=eps1, q=q
     )
+
+
+@st.composite
+def evidence_slots(draw):
+    """A scenario of up to 6 processes and 12 devices with edge q entries,
+    and one slot's observation: 0..K active devices, each other one silent
+    or unobserved."""
+    config = draw(edge_scenarios(max_n=6, max_k=12))
+    k = config.n_devices
+    order = draw(st.permutations(range(k)))
+    m = draw(st.integers(0, k))
+    obs = np.empty(k, dtype=np.int8)
+    obs[order[:m]] = OBSERVED_ACTIVE
+    obs[order[m:]] = draw(st.lists(
+        st.sampled_from([OBSERVED_SILENT, UNOBSERVED]), min_size=k - m, max_size=k - m
+    ))
+    return config, obs
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(evidence_slots())
+def test_evidence_paths_agree(slot):
+    # up to a quarter of the devices active: rows summed in index order,
+    # bit for bit the per-device path above the table cap; more: one GEMV
+    # over the table, within 1e-12 of the row sums, floors included. Both
+    # terms are always added here, so an empty term skipped must change no bit.
+    config, obs = slot
+    active, silent = obs == OBSERVED_ACTIVE, obs == OBSERVED_SILENT
+    le = _log_evidence(obs, config)
+    if not (active.any() or silent.any()):
+        assert le is None
+        return
+    low, high = _evidence_halves(config)
+    s = silent.astype(float)
+    silent_term = ((high @ s)[:, None] + low @ s).reshape(-1)
+    table = _log_active(config, slice(None))
+    sparse = np.zeros(config.n_states)
+    for k in np.flatnonzero(active):
+        sparse += table[k]
+    sparse += silent_term
+    dense = active.astype(float) @ table + silent_term
+    np.testing.assert_array_equal(le, sparse if 4 * active.sum() <= config.n_devices else dense)
+    np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=1e-12)
+    with mock.patch("fugrant.belief._TABLE_MAX_ENTRIES", 0):
+        uncached = _log_evidence(obs, dataclasses.replace(config))
+    np.testing.assert_array_equal(uncached, sparse)
 
 
 def slot_by_slot(state, config, uniforms):
