@@ -13,13 +13,18 @@ The prediction step applies the Kronecker product of up to five processes'
 2x2 kernels (32 x 32) along their axes of the weight tensor, one matmul per
 group; the full 2^N x 2^N transition matrix is never materialized. Evidence
 and the marginal forecast are built from half-width tables.
+
+A censored tracker sees the same few observations again and again, so each
+tracker keeps the evidence factor of its recent observations in a small LRU
+memo (512 KiB of factors) and multiplies a repeat by the stored array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +50,10 @@ _TABLE_MAX_ENTRIES = 1 << 23
 # Real evidence (-745 per device at worst) never sums down to it.
 _LOG_FLOOR = -1e300
 
+# Bytes of evidence factors one tracker's memo holds: 64 at N = 10, 4 at
+# N = 14, none past N = 16.
+_EVIDENCE_MEMO_BYTES = 1 << 19
+
 # Processes per transition-matrix group in _predict (a 32 x 32 matrix).
 _GROUP = 5
 
@@ -63,11 +72,13 @@ class BeliefState:
 
     weights[s] is P(state = s | evidence so far); log_scale accumulates the
     log of every discarded normalizer, so the unnormalized forward variable
-    is weights * exp(log_scale).
+    is weights * exp(log_scale). _evidence is the tracker's evidence memo
+    (see forward_update), handed on from state to state.
     """
 
     weights: np.ndarray
     log_scale: float = 0.0
+    _evidence: OrderedDict = field(default_factory=OrderedDict, compare=False, repr=False)
 
 
 def entropy(belief: BeliefState) -> float:
@@ -76,13 +87,17 @@ def entropy(belief: BeliefState) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def init_belief(config: ScenarioConfig) -> BeliefState:
-    """Stationary prior: the product of per-process stationary marginals."""
-    if config.n_processes > MAX_PROCESSES:
+def _check_capacity(n_processes: int) -> None:
+    if n_processes > MAX_PROCESSES:
         raise CapacityError(
-            f"n_processes = {config.n_processes} exceeds the exact-tracking "
-            f"limit of {MAX_PROCESSES}"
+            f"n_processes = {n_processes} exceeds the exact-tracking limit of {MAX_PROCESSES}"
         )
+
+
+def init_belief(config: ScenarioConfig) -> BeliefState:
+    """Stationary prior: the product of per-process stationary marginals,
+    with an empty evidence memo."""
+    _check_capacity(config.n_processes)
     pi = stationary_on_probs(config)
     w = _state_products(1.0 - pi, pi)
     return BeliefState(w / w.sum(), 0.0)
@@ -188,11 +203,13 @@ def _log_active(config: ScenarioConfig, cols) -> np.ndarray:
 def _filter_bytes(n: int, k: int) -> int:
     """Peak bytes of one tracker at N processes and K devices: four 2^N-float
     vectors (old and new weights, the log-evidence and one temporary), the
-    evidence and forecast half tables, and the (2^N, K) log-activation table
-    when _log_evidence caches it."""
+    evidence and forecast half tables, the (2^N, K) log-activation table
+    when _log_evidence caches it, and the evidence memo's
+    _EVIDENCE_MEMO_BYTES."""
     states, h = 1 << n, n // 2
     table = states * k if states * k <= _TABLE_MAX_ENTRIES else 0
-    return 8 * (4 * states + 2 * ((1 << h) + (1 << (n - h))) * k + table)
+    halves = 2 * ((1 << h) + (1 << (n - h))) * k
+    return 8 * (4 * states + halves + table) + _EVIDENCE_MEMO_BYTES
 
 
 def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
@@ -241,9 +258,18 @@ def forward_update(
 ) -> BeliefState:
     """One filtering step: propagate one slot, then fold in the evidence.
 
-    The log-evidence is shifted by its maximum m before `exp`; m and the log
-    of the posterior's normalizer are absorbed into log_scale. A
+    The log-evidence le is shifted by its maximum m before `exp`; m and the
+    log of the posterior's normalizer are absorbed into log_scale. A
     fully-unobserved slot is returned as the bare prediction, bit for bit.
+
+    The factor exp(le - m) and m depend only on the observation (an int8
+    vector) and the config, so the tracker keeps them, keyed by obs's bytes,
+    in an LRU memo of _EVIDENCE_MEMO_BYTES that the returned state carries
+    on. A repeated observation skips the evidence, its max and its exp, and
+    multiplies by the stored array itself, made read-only, so the result is
+    bit for bit what a fresh tracker computes. Only observations that passed
+    the contradiction check are stored, and only for the config that
+    computed them.
 
     Raises EvidenceContradictionError when the evidence has zero probability
     under every state, which cannot happen for observations generated by the
@@ -253,19 +279,31 @@ def forward_update(
         raise ValueError(f"observation must have shape ({config.n_devices},), got {obs.shape}")
     _check_belief(belief, config)
     w = _predict(belief.weights, config)
-    le = _log_evidence(obs, config)
-    if le is None:
-        return BeliefState(w, belief.log_scale)
-    m = float(le.max())
-    le -= m
-    w *= np.exp(le, out=le)
+    memo, key = belief._evidence, obs.tobytes()
+    entry = memo.get(key)
+    if entry is not None and entry[0] is config:
+        memo.move_to_end(key)
+        _, m, factor = entry
+    else:
+        le = _log_evidence(obs, config)
+        if le is None:
+            return BeliefState(w, belief.log_scale, memo)
+        m = float(le.max())
+        le -= m
+        factor, entry = np.exp(le, out=le), None
+    w *= factor
     total = float(w.sum())
     if m <= _LOG_FLOOR or total <= 0.0:
         raise EvidenceContradictionError(
             "observed evidence is impossible under the scenario's activation model"
         )
     w /= total
-    return BeliefState(w, belief.log_scale + math.log(total) + m)
+    if entry is None and w.nbytes <= _EVIDENCE_MEMO_BYTES:
+        factor.flags.writeable = False
+        memo[key] = (config, m, factor)
+        if len(memo) * w.nbytes > _EVIDENCE_MEMO_BYTES:
+            memo.popitem(last=False)
+    return BeliefState(w, belief.log_scale + math.log(total) + m, memo)
 
 
 def map_index(belief: BeliefState) -> int:

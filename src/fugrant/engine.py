@@ -31,6 +31,7 @@ import numpy as np
 from .belief import (
     FORECAST_MODES,
     EvidenceContradictionError,
+    _check_capacity,
     _filter_bytes,
     device_forecast,
     forward_update,
@@ -116,20 +117,24 @@ def _normalize_request(policies, belief_mode: str) -> tuple[str, ...]:
 
 def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> int:
     """The chunk, in slots, that the draw and the scoring share; raises
-    ConfigurationError naming the horizon, `runs` when given, N and K unless
-    (runs + 2) * S + E bytes fit in physical memory (E alone when runs = 0).
-    One episode E: the trajectory, (T + 1)(N + K) bytes; S = P * 5 * 8 * T
-    bytes of series; min(T, chunk) rows of N + K float64 uniforms; a grant
-    memo of min(T, 2^N) rows of K bytes when the genie or a tracker runs
-    (one policy at a time); and when a tracker runs, its belief vectors and
-    evidence tables (see belief._filter_bytes). run_monte_carlo adds
-    runs * S, then 2 * S."""
+    CapacityError naming N when a tracker runs past belief.MAX_PROCESSES,
+    and ConfigurationError naming the horizon, `runs` when given, N and K
+    unless (runs + 2) * S + E bytes fit in physical memory (E alone when
+    runs = 0). One episode E: the trajectory, (T + 1)(N + K) bytes;
+    S = P * 5 * 8 * T bytes of series; min(T, chunk) rows of N + K float64
+    uniforms; a grant memo of min(T, 2^N) rows of K bytes when the genie or
+    a tracker runs (one policy at a time); and when a tracker runs, its
+    belief vectors, evidence tables and evidence memo (see
+    belief._filter_bytes). run_monte_carlo adds runs * S, then 2 * S."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
+    tracker = bool({"fu_limited", "fu_feedback"} & set(policies))
+    if tracker:
+        _check_capacity(n)
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon
     memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
     need = (horizon + 1) * (n + k) + series + min(horizon, chunk) * (n + k) * 8 + memo_rows * k
-    need += _filter_bytes(n, k) if {"fu_limited", "fu_feedback"} & set(policies) else 0
+    need += _filter_bytes(n, k) if tracker else 0
     need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
     setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -226,8 +231,9 @@ def run_episode(
     uint8 array, in chunks of 2^15 / (N + K) slots; then each policy runs
     alone over it, chunk by chunk, so belief trackers never see each
     other's observations. Before any draw, raises ConfigurationError for an
-    unknown policy or belief mode, or naming the horizon, N and K when the
-    episode would not fit in physical memory (see `_check_memory`).
+    unknown policy or belief mode, naming N when a tracker cannot hold it,
+    or naming the horizon, N and K when the episode would not fit in
+    physical memory (see `_check_memory`).
     """
     policies = _normalize_request(policies, belief_mode)
     chunk = _check_memory(config, policies)
@@ -270,8 +276,9 @@ def run_monte_carlo(
     instance is drawn up front; a concrete ScenarioConfig is inherently
     fixed. Run r always uses the streams keyed by (master_seed, r), so the
     aggregate is byte-identical regardless of how the loop is executed.
-    Before any allocation, raises ConfigurationError naming runs, horizon,
-    N and K when the whole run would not fit in memory (see `_check_memory`).
+    Before any allocation, raises ConfigurationError naming N when a tracker
+    cannot hold it, or naming runs, horizon, N and K when the whole run
+    would not fit in memory (see `_check_memory`).
     """
     policies = _normalize_request(policies, belief_mode)
     runs = check_int("runs", runs, 1)

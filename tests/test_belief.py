@@ -14,6 +14,7 @@ from fugrant.belief import (
     OBSERVED_ACTIVE,
     OBSERVED_SILENT,
     UNOBSERVED,
+    _EVIDENCE_MEMO_BYTES,
     _LOG_FLOOR,
     BeliefState,
     CapacityError,
@@ -349,6 +350,122 @@ class TestForwardUpdate:
                 belief = fb
         assert np.mean(diffs_unobs) < 0
         assert np.mean(diffs_limited) < 0
+
+
+class TestEvidenceMemo:
+    """A tracker reuses the evidence factor of an observation it has seen."""
+
+    def counting_evidence(self, monkeypatch):
+        calls = []
+
+        def counted(obs, config):
+            calls.append(obs.tobytes())
+            return _log_evidence(obs, config)
+
+        monkeypatch.setattr("fugrant.belief._log_evidence", counted)
+        return calls
+
+    def limited_observations(self, cfg, count, seed=0):
+        # distinct censored observations: L granted devices, each seen active or silent
+        rng = np.random.default_rng(seed)
+        seen, out = set(), []
+        while len(out) < count:
+            obs = all_unobserved(cfg.n_devices)
+            granted = rng.choice(cfg.n_devices, cfg.n_slots, replace=False)
+            obs[granted] = rng.random(cfg.n_slots) < 0.5
+            if obs.tobytes() not in seen:
+                seen.add(obs.tobytes())
+                out.append(obs)
+        return out
+
+    def test_repeats_match_a_tracker_that_always_misses(self, monkeypatch):
+        cfg = make_scenario(n=10, k=20, seed=3)
+        o1, o2 = self.limited_observations(cfg, 2)
+        sequence = [o1, o2, o1, o1, o2, all_unobserved(cfg.n_devices), o1]
+        memo, fresh = init_belief(cfg), init_belief(cfg)
+        calls = self.counting_evidence(monkeypatch)
+        for obs in sequence:
+            memo = forward_update(memo, obs, cfg)
+            fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
+            np.testing.assert_array_equal(memo.weights, fresh.weights)
+            assert memo.log_scale == fresh.log_scale
+        # the memoized tracker evaluated o1, o2 and the blind slot once each
+        assert len(calls) == 3 + len(sequence)
+        assert list(memo._evidence) == [o2.tobytes(), o1.tobytes()]
+
+    def test_hits_multiply_by_the_stored_read_only_factor(self):
+        cfg = make_scenario(n=6, k=8, seed=1)
+        (obs,) = self.limited_observations(cfg, 1)
+        belief = forward_update(init_belief(cfg), obs, cfg)
+        ((stored_cfg, m, factor),) = belief._evidence.values()
+        le = _log_evidence(obs, cfg)
+        assert stored_cfg is cfg and m == le.max()
+        np.testing.assert_array_equal(factor, np.exp(le - m))
+        kept = factor.copy()
+        first, second = (forward_update(belief, obs, cfg) for _ in range(2))
+        np.testing.assert_array_equal(first.weights, second.weights)
+        assert first.log_scale == second.log_scale
+        assert not factor.flags.writeable
+        np.testing.assert_array_equal(factor, kept)
+        assert first._evidence is belief._evidence and len(belief._evidence) == 1
+
+    def test_a_reset_or_a_new_state_starts_empty(self):
+        cfg = make_scenario(n=3, k=4, seed=2)
+        obs = np.array([1, 0, -1, -1], dtype=np.int8)
+        belief = forward_update(init_belief(cfg), obs, cfg)
+        assert len(belief._evidence) == 1
+        assert not init_belief(cfg)._evidence
+        assert not BeliefState(belief.weights, belief.log_scale)._evidence
+
+    def test_factors_of_another_config_are_not_reused(self):
+        cfg = make_scenario(n=3, k=4, seed=2)
+        other = dataclasses.replace(cfg, q=np.flipud(cfg.q))
+        obs = np.array([1, 0, -1, 1], dtype=np.int8)
+        belief = forward_update(init_belief(cfg), obs, cfg)
+        shared = forward_update(belief, obs, other)
+        fresh = forward_update(BeliefState(belief.weights, belief.log_scale), obs, other)
+        np.testing.assert_array_equal(shared.weights, fresh.weights)
+        assert shared.log_scale == fresh.log_scale
+        assert next(iter(shared._evidence.values()))[0] is other
+
+    @pytest.mark.parametrize("n, entries", [(10, 64), (14, 4)])
+    def test_bytes_stay_under_the_cap_and_the_oldest_goes_first(self, n, entries):
+        cfg = make_scenario(n=n, k=12, seed=n)
+        observations = self.limited_observations(cfg, entries + 2, seed=n)
+        belief = init_belief(cfg)
+        for obs in observations[:entries]:
+            belief = forward_update(belief, obs, cfg)
+        belief = forward_update(belief, observations[0], cfg)  # a hit: now the newest
+        for obs in observations[entries:]:
+            belief = forward_update(belief, obs, cfg)
+            factors = [f for _, _, f in belief._evidence.values()]
+            assert sum(f.nbytes for f in factors) <= _EVIDENCE_MEMO_BYTES
+        assert len(belief._evidence) == entries
+        # o1 and o2 were evicted; the hit moved o0 behind the other survivors
+        expected = [*observations[3:entries], observations[0], *observations[entries:]]
+        assert list(belief._evidence) == [o.tobytes() for o in expected]
+
+    def test_contradicted_observations_are_never_stored(self):
+        # the same instances as test_contradiction_raises and
+        # test_impossible_under_every_state_resets: one observation is
+        # impossible from the tracker's belief, the other from every belief
+        cfg = dataclasses.replace(
+            make_scenario(n=2, k=2, seed=0),
+            eps0=[1.0, 0.2], eps1=[0.0, 0.3], q=[[1.0, 0.0], [0.0, 0.5]],
+        )
+        belief = BeliefState(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        with pytest.raises(EvidenceContradictionError):
+            forward_update(belief, np.array([OBSERVED_ACTIVE, UNOBSERVED], np.int8), cfg)
+        assert not belief._evidence
+        cfg = dataclasses.replace(
+            make_scenario(n=3, k=4, seed=8),
+            q=np.array([[0.5, 0.0, 0.2, 0.9], [0.3, 0.0, 0.7, 0.1], [0.6, 0.0, 0.4, 0.8]]),
+        )
+        belief = init_belief(cfg)
+        obs = np.array([OBSERVED_ACTIVE, OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED], np.int8)
+        with pytest.raises(EvidenceContradictionError):
+            forward_update(belief, obs, cfg)
+        assert not belief._evidence
 
 
 class TestMapState:

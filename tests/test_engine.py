@@ -9,6 +9,7 @@ import pytest
 
 import fugrant.engine as engine_mod
 from fugrant.belief import (
+    CapacityError,
     EvidenceContradictionError,
     device_forecast,
     forward_update,
@@ -234,6 +235,40 @@ class TestRunEpisode:
             "os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else with_table
         )
         assert run_episode(cfg, [tracker], rng_stream(0, 0, "episode")).policies == (tracker,)
+
+    def test_evidence_memo_counts_toward_the_episode(self, monkeypatch):
+        # each tracker's evidence memo holds up to 512 KiB of factors
+        cfg = small_config()
+
+        def needed_bytes():
+            monkeypatch.setattr("os.sysconf", lambda name: 1)
+            with pytest.raises(ConfigurationError, match="horizon = 40") as info:
+                run_episode(cfg, ["fu_limited"], rng_stream(0, 0, "episode"))
+            return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+        with monkeypatch.context() as patch:
+            patch.setattr("fugrant.belief._EVIDENCE_MEMO_BYTES", 0)
+            without_memo = needed_bytes()
+        assert needed_bytes() == without_memo + 512 * 1024
+
+    @pytest.mark.parametrize("n", [25, 30])
+    @pytest.mark.parametrize("tracker", ["fu_limited", "fu_feedback"])
+    def test_tracker_capacity_is_refused_before_any_draw(self, n, tracker, monkeypatch):
+        # at N = 30 the filter would not fit either; the capacity names N first
+        cfg = ScenarioConfig(
+            n_processes=n, n_devices=5, n_slots=2, horizon=50,
+            eps0=[0.1] * n, eps1=[0.2] * n, q=[[0.1] * 5] * n,
+        )
+
+        def no_slot(*args):
+            raise AssertionError("a slot was simulated")
+
+        monkeypatch.setattr(engine_mod, "step_processes", no_slot)
+        message = f"n_processes = {n} exceeds the exact-tracking limit of 24"
+        with pytest.raises(CapacityError, match=message):
+            run_episode(cfg, ["genie", tracker], rng_stream(0, 0, "episode"))
+        with pytest.raises(CapacityError, match=message):
+            run_monte_carlo(cfg, 1, 0, [tracker])
 
     def test_whole_run_need_adds_the_episode_to_every_kept_series(self, monkeypatch):
         # run_monte_carlo holds one episode E beside every run's series S and
