@@ -16,7 +16,9 @@ and the marginal forecast are built from half-width tables.
 
 A censored tracker sees the same few observations again and again, so each
 tracker keeps the evidence factor of its recent observations in a small LRU
-memo (512 KiB of factors) and multiplies a repeat by the stored array.
+memo (512 KiB of factors) and multiplies a repeat by the stored array. Full
+feedback's evidence does not depend on the grants, so it is put in that memo
+a block of slots ahead.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ _TABLE_MAX_ENTRIES = 1 << 23
 _LOG_FLOOR = -1e300
 
 # Bytes of evidence factors one tracker's memo holds: 64 at N = 10, 4 at
-# N = 14, none past N = 16.
+# N = 14, none past N = 16. It also bounds a prefetched block and its one
+# temporary of the same size: 32 slots at N = 10, 2 at N = 14, and none from
+# N = 15, where a block of one row would share nothing.
 _EVIDENCE_MEMO_BYTES = 1 << 19
 
 # Processes per transition-matrix group in _predict (a 32 x 32 matrix).
@@ -200,12 +204,20 @@ def _log_active(config: ScenarioConfig, cols) -> np.ndarray:
     return np.maximum(t, _LOG_FLOOR, out=t)
 
 
+def _log_active_table(config: ScenarioConfig) -> np.ndarray | None:
+    """The cached (K, 2^N) log-activation table, or None above _TABLE_MAX_ENTRIES."""
+    if config.n_states * config.n_devices > _TABLE_MAX_ENTRIES:
+        return None
+    return config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
+
+
 def _filter_bytes(n: int, k: int) -> int:
     """Peak bytes of one tracker at N processes and K devices: four 2^N-float
     vectors (old and new weights, the log-evidence and one temporary), the
     evidence and forecast half tables, the (2^N, K) log-activation table
     when _log_evidence caches it, and the evidence memo's
-    _EVIDENCE_MEMO_BYTES."""
+    _EVIDENCE_MEMO_BYTES, which also holds a prefetched block of full
+    feedback's factors and its temporary (see prefetch_evidence)."""
     states, h = 1 << n, n // 2
     table = states * k if states * k <= _TABLE_MAX_ENTRIES else 0
     halves = 2 * ((1 << h) + (1 << (n - h))) * k
@@ -224,9 +236,7 @@ def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     silent = obs == OBSERVED_SILENT
     n_active, le = np.count_nonzero(active), None
     if n_active:
-        table = None
-        if config.n_states * config.n_devices <= _TABLE_MAX_ENTRIES:
-            table = config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
+        table = _log_active_table(config)
         if table is not None and 4 * n_active > config.n_devices:
             le = active.astype(float) @ table
         else:
@@ -269,7 +279,8 @@ def forward_update(
     multiplies by the stored array itself, made read-only, so the result is
     bit for bit what a fresh tracker computes. Only observations that passed
     the contradiction check are stored, and only for the config that
-    computed them.
+    computed them. prefetch_evidence fills the memo ahead of full feedback;
+    every hit passes the contradiction check again.
 
     Raises EvidenceContradictionError when the evidence has zero probability
     under every state, which cannot happen for observations generated by the
@@ -304,6 +315,55 @@ def forward_update(
         if len(memo) * w.nbytes > _EVIDENCE_MEMO_BYTES:
             memo.popitem(last=False)
     return BeliefState(w, belief.log_scale + math.log(total) + m, memo)
+
+
+def _block_log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """_log_evidence of each row of obs, (C, K) int8 rows that observe every
+    device, shape (C, 2^N): the active term as one GEMM over the cached
+    log-activation table, the silent term as two GEMMs over the half tables,
+    added in _log_evidence's order."""
+    low, high = _evidence_halves(config)
+    x = (obs == OBSERVED_ACTIVE).astype(float)
+    le = x @ _log_active_table(config)
+    np.subtract(1.0, x, out=x)  # every device is observed: silent = 1 - active
+    le += ((x @ high.T)[:, :, None] + (x @ low.T)[:, None, :]).reshape(len(obs), -1)
+    return le
+
+
+def prefetch_evidence(
+    belief: BeliefState, observations: np.ndarray, config: ScenarioConfig
+) -> int:
+    """Put the evidence of the coming fully observed slots in the tracker's memo.
+
+    Takes the leading rows of `observations` (M, K) that observe every
+    device, at most half the memo's entries, and stores each row's
+    (config, m, factor) under its int8 bytes, read-only, as forward_update
+    stores a miss, from one _block_log_evidence, row max, shift and exp. The
+    memo is emptied first, so the block and its one temporary fit in
+    _EVIDENCE_MEMO_BYTES; callers bound M, since the block takes C * K
+    floats (the engine passes the rest of its chunk). A row impossible under
+    every state (m at _LOG_FLOOR) is not stored. Returns the rows covered:
+    0 without a cached table, when the block would be under two rows
+    (N >= 15), or when the first row leaves a device unobserved.
+    """
+    block = _EVIDENCE_MEMO_BYTES // (8 * config.n_states) // 2
+    if block < 2 or _log_active_table(config) is None:
+        return 0
+    obs = np.asarray(observations[:block], dtype=np.int8)
+    c = int(np.logical_and.accumulate((obs != UNOBSERVED).all(axis=1)).sum())
+    if not c:
+        return 0
+    obs, memo = obs[:c], belief._evidence
+    memo.clear()
+    le = _block_log_evidence(obs, config)
+    m = le.max(axis=1)
+    le -= m[:, None]
+    np.exp(le, out=le)
+    le.flags.writeable = False
+    for row, row_max, factor in zip(obs, m.tolist(), le):
+        if row_max > _LOG_FLOOR:
+            memo[row.tobytes()] = (config, row_max, factor)
+    return c
 
 
 def map_index(belief: BeliefState) -> int:

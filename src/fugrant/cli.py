@@ -4,7 +4,8 @@ Three subcommands:
 
   run       simulate a scenario (from a JSON config or a built-in preset)
             and write per-slot metric series as CSV or JSON
-  validate  check a JSON config and print its dimensions
+  validate  check a JSON config and print its dimensions and the memory
+            one run of every policy needs
   oracle    run the brute-force verification suites for the belief tracker
             and the one-step predictor
 
@@ -23,7 +24,7 @@ import sys
 import tempfile
 
 from .belief import FORECAST_MODES
-from .engine import SERIES, AggregateResult, run_monte_carlo
+from .engine import SERIES, AggregateResult, _memory_need, run_monte_carlo
 from .model import (
     MAX_SEED,
     ConfigurationError,
@@ -144,6 +145,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     pi = stationary_on_probs(config)
     print(f"N={config.n_processes} K={config.n_devices} L={config.n_slots}")
+    need, _ = _memory_need(config, POLICIES, runs=1)
+    print(f"memory: {need} bytes for one run of all five policies")
     print("stationary On-probabilities: " + " ".join(_fmt(p) for p in pi))
     return 0
 

@@ -37,6 +37,7 @@ from .belief import (
     forward_update,
     init_belief,
     map_index,
+    prefetch_evidence,
 )
 from .metrics import (
     MetricsAccumulator,
@@ -115,27 +116,37 @@ def _normalize_request(policies, belief_mode: str) -> tuple[str, ...]:
     return tuple(p for p in POLICIES if p in requested)
 
 
-def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> int:
-    """The chunk, in slots, that the draw and the scoring share; raises
-    CapacityError naming N when a tracker runs past belief.MAX_PROCESSES,
-    and ConfigurationError naming the horizon, `runs` when given, N and K
-    unless (runs + 2) * S + E bytes fit in physical memory (E alone when
-    runs = 0). One episode E: the trajectory, (T + 1)(N + K) bytes;
+def _memory_need(
+    scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0
+) -> tuple[int, int]:
+    """Bytes one run needs, and the chunk, in slots, that the draw and the
+    scoring share. One episode E: the trajectory, (T + 1)(N + K) bytes;
     S = P * 5 * 8 * T bytes of series; min(T, chunk) rows of N + K float64
     uniforms; a grant memo of min(T, 2^N) rows of K bytes when the genie or
     a tracker runs (one policy at a time); and when a tracker runs, its
     belief vectors, evidence tables and evidence memo (see
-    belief._filter_bytes). run_monte_carlo adds runs * S, then 2 * S."""
+    belief._filter_bytes); fu_feedback's prefetched block takes C * K floats
+    of the chunk's uniforms, freed by then. run_monte_carlo adds runs * S,
+    then 2 * S: (runs + 2) * S + E bytes, or E alone when runs = 0."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
-    tracker = bool({"fu_limited", "fu_feedback"} & set(policies))
-    if tracker:
-        _check_capacity(n)
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon
     memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
     need = (horizon + 1) * (n + k) + series + min(horizon, chunk) * (n + k) * 8 + memo_rows * k
-    need += _filter_bytes(n, k) if tracker else 0
+    need += _filter_bytes(n, k) if {"fu_limited", "fu_feedback"} & set(policies) else 0
     need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
+    return need, chunk
+
+
+def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> int:
+    """The chunk of _memory_need; raises CapacityError naming N when a
+    tracker runs past belief.MAX_PROCESSES, and ConfigurationError naming
+    the horizon, `runs` when given, N and K when the bytes of _memory_need
+    do not fit in physical memory."""
+    n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
+    if {"fu_limited", "fu_feedback"} & set(policies):
+        _check_capacity(n)
+    need, chunk = _memory_need(scenario, policies, runs)
     setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -153,7 +164,9 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     decide a whole chunk at once; the genie and the fu trackers decide slot
     by slot, from information through the previous slot, into the chunk's
     grant rows, reusing a state's grant row whenever no tie lets ages change
-    it. Each chunk is then scored in one fold.
+    it. fu_feedback's tracker gets the chunk's coming evidence a block ahead
+    (belief.prefetch_evidence) whenever a slot passes the filled range, and
+    right after a reset. Each chunk is then scored in one fold.
     """
     k, l, horizon = config.n_devices, config.n_slots, config.horizon
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
@@ -161,6 +174,7 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     # State key -> the grant row its forecast decides without ages: the genie's
     # true state bytes, a tracker's MAP state index, or None (never stored).
     memo: dict[bytes | int, np.ndarray] = {}
+    filled = 0  # fu_feedback: the slot up to which the tracker's memo holds the evidence
     last_served = np.zeros(k, dtype=np.int64)  # tie-break ages for the grant loop
     series = {s: np.zeros(horizon) for s in SERIES}
     for start in range(0, horizon, chunk):
@@ -192,6 +206,8 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
                         obs = observe_limited(row, acts[i])
                     else:
                         obs = observe_feedback(acts[i])
+                        if col >= filled:
+                            filled = col + prefetch_evidence(belief, acts[i:], config)
                     try:
                         belief = forward_update(belief, obs, config)
                     except EvidenceContradictionError:
@@ -201,6 +217,7 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
                             policy,
                         )
                         belief = init_belief(config)
+                        filled = col + 1
                 grants[i] = row
                 np.putmask(last_served, row & acts[i], col + 1)
             report = slot_report(acts, grants)

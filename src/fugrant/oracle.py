@@ -110,13 +110,14 @@ def predicted_activation_by_enumeration(
 
 
 def random_filtering_instance(
-    seed: int, max_n: int = 3, max_k: int = 3, max_t: int = 6
+    seed: int, max_n: int = 3, max_k: int = 3, max_t: int = 6, hidden: float = 0.5
 ) -> tuple[ScenarioConfig, list[np.ndarray]]:
     """Random scenario plus a censored observation sequence drawn from it.
 
     The trajectory is simulated from the model and each device is hidden
-    independently with probability 1/2 per slot, so the evidence is always
-    consistent while still exercising every censoring pattern.
+    independently with probability `hidden` per slot, so the evidence is
+    always consistent while still exercising every censoring pattern; with
+    hidden = 0 it is full feedback. The draws do not depend on `hidden`.
     """
     rng = rng_stream(seed, 0, "oracle-instance")
     n = int(rng.integers(1, max_n + 1))
@@ -129,7 +130,7 @@ def random_filtering_instance(
         state = step_processes(state, config, rng)
         acts = sample_activations(state, config, rng)
         obs = acts.astype(np.int8)
-        obs[rng.random(k) < 0.5] = UNOBSERVED
+        obs[rng.random(k) < hidden] = UNOBSERVED
         observations.append(obs)
     return config, observations
 
@@ -139,10 +140,18 @@ def forward_filter_gaps(
 ) -> tuple[float, float]:
     """Largest gaps to path enumeration after every slot, NaN counted as inf:
     over the normalized weights and the unnormalized joint (0 on both sides
-    at large K), and between log_scale and the reference log-evidence."""
+    at large K), and between log_scale and the reference log-evidence.
+
+    The filter runs as the engine runs it: each run of fully observed slots
+    has its evidence put in the tracker's memo by
+    `belief.prefetch_evidence`, as fu_feedback's is."""
     state_belief = belief_mod.init_belief(config)
     gaps = np.zeros(2)
+    filled = 0
     for step in range(len(observations)):
+        if step >= filled:
+            ahead = np.array(observations[step:])
+            filled = step + belief_mod.prefetch_evidence(state_belief, ahead, config)
         state_belief = belief_mod.forward_update(state_belief, observations[step], config)
         log_joint = enumerate_forward_log_joint(config, observations[: step + 1])
         log_evidence = np.logaddexp.reduce(log_joint)

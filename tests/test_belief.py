@@ -27,6 +27,7 @@ from fugrant.belief import (
     entropy,
     forward_update,
     init_belief,
+    prefetch_evidence,
     state_forecast,
 )
 from fugrant.model import (
@@ -60,6 +61,18 @@ def make_scenario(n=3, k=4, seed=0, **kwargs):
 
 def all_unobserved(k):
     return np.full(k, UNOBSERVED, dtype=np.int8)
+
+
+def counting_evidence(monkeypatch):
+    """The observations forward_update computes _log_evidence for, in order."""
+    calls = []
+
+    def counted(obs, config):
+        calls.append(obs.tobytes())
+        return _log_evidence(obs, config)
+
+    monkeypatch.setattr("fugrant.belief._log_evidence", counted)
+    return calls
 
 
 class TestInitBelief:
@@ -355,16 +368,6 @@ class TestForwardUpdate:
 class TestEvidenceMemo:
     """A tracker reuses the evidence factor of an observation it has seen."""
 
-    def counting_evidence(self, monkeypatch):
-        calls = []
-
-        def counted(obs, config):
-            calls.append(obs.tobytes())
-            return _log_evidence(obs, config)
-
-        monkeypatch.setattr("fugrant.belief._log_evidence", counted)
-        return calls
-
     def limited_observations(self, cfg, count, seed=0):
         # distinct censored observations: L granted devices, each seen active or silent
         rng = np.random.default_rng(seed)
@@ -383,7 +386,7 @@ class TestEvidenceMemo:
         o1, o2 = self.limited_observations(cfg, 2)
         sequence = [o1, o2, o1, o1, o2, all_unobserved(cfg.n_devices), o1]
         memo, fresh = init_belief(cfg), init_belief(cfg)
-        calls = self.counting_evidence(monkeypatch)
+        calls = counting_evidence(monkeypatch)
         for obs in sequence:
             memo = forward_update(memo, obs, cfg)
             fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
@@ -465,6 +468,71 @@ class TestEvidenceMemo:
         obs = np.array([OBSERVED_ACTIVE, OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED], np.int8)
         with pytest.raises(EvidenceContradictionError):
             forward_update(belief, obs, cfg)
+        assert not belief._evidence
+
+
+class TestPrefetchEvidence:
+    """Full feedback's evidence is put in the tracker's memo a block at a time."""
+
+    def feedback(self, cfg, slots, seed=0):
+        rng = np.random.default_rng(seed)
+        state = (rng.random(cfg.n_processes) < stationary_on_probs(cfg)).astype(np.uint8)
+        rows = []
+        for _ in range(slots):
+            state = step_processes(state, cfg, rng.random(cfg.n_processes))
+            rows.append(sample_activations(state, cfg, rng.random(cfg.n_devices)))
+        return np.array(rows)
+
+    def test_updates_stay_within_1e12_of_a_per_slot_tracker(self, monkeypatch):
+        cfg = make_scenario(n=10, k=20, seed=4)
+        acts = self.feedback(cfg, 40)
+        calls = counting_evidence(monkeypatch)
+        block, fresh = init_belief(cfg), init_belief(cfg)
+        filled, fills = 0, []
+        for t, row in enumerate(acts):
+            if t >= filled:
+                fills.append(prefetch_evidence(block, acts[t:], cfg))
+                filled = t + fills[-1]
+            obs = observe_feedback(row)
+            block = forward_update(block, obs, cfg)
+            fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
+            np.testing.assert_allclose(block.weights, fresh.weights, rtol=1e-12, atol=0)
+            assert block.log_scale == pytest.approx(fresh.log_scale, rel=1e-12, abs=0)
+        # half the memo's 64 entries at N = 10, then the rest; every slot a hit
+        assert fills == [32, 8]
+        assert len(calls) == len(acts)  # the per-slot tracker's own evaluations
+
+    def test_a_stored_row_that_contradicts_the_belief_raises_on_the_hit(self):
+        # as in test_contradiction_raises: device 0 cannot be active from state
+        # 0, but the row is possible with process 0 On, so it is stored
+        cfg = dataclasses.replace(
+            make_scenario(n=2, k=2, seed=0),
+            eps0=[1.0, 0.2], eps1=[0.0, 0.3], q=[[1.0, 0.0], [0.0, 0.5]],
+        )
+        belief = BeliefState(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        obs = np.array([OBSERVED_ACTIVE, OBSERVED_SILENT], dtype=np.int8)
+        assert prefetch_evidence(belief, obs[None], cfg) == 1
+        assert obs.tobytes() in belief._evidence
+        with pytest.raises(EvidenceContradictionError):
+            forward_update(belief, obs, cfg)
+
+    def test_only_leading_fully_observed_rows_are_filled(self):
+        cfg = make_scenario(n=3, k=4, seed=2)
+        rows = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [1, -1, 0, 0], [0, 1, 0, 0]], np.int8)
+        belief = forward_update(init_belief(cfg), rows[2], cfg)
+        assert prefetch_evidence(belief, rows[2:], cfg) == 0
+        assert list(belief._evidence) == [rows[2].tobytes()]  # left as it was
+        assert prefetch_evidence(belief, rows, cfg) == 2
+        assert list(belief._evidence) == [rows[0].tobytes(), rows[1].tobytes()]
+        assert not any(f.flags.writeable for _, _, f in belief._evidence.values())
+
+    @pytest.mark.parametrize("n, table", [(15, True), (3, False)])
+    def test_nothing_is_filled_under_two_rows_or_without_the_table(self, n, table, monkeypatch):
+        cfg = make_scenario(n=n, k=4, seed=n)
+        if not table:
+            monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
+        belief = init_belief(cfg)
+        assert prefetch_evidence(belief, np.ones((4, 4), np.int8), cfg) == 0
         assert not belief._evidence
 
 

@@ -353,6 +353,27 @@ class TestValidate:
         assert "N=2 K=4 L=2" in out
         assert "stationary" in out
 
+    def test_prints_the_bytes_one_run_is_checked_against(self, config_path, tmp_path, capsys,
+                                                         monkeypatch):
+        # the estimate is the one `run --runs 1` refuses on: one byte less
+        # memory exits 2 with the same number, exactly that much runs
+        assert run_cli("validate", config_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "N=2 K=4 L=2"
+        prefix, suffix = "memory: ", " bytes for one run of all five policies"
+        assert lines[1].startswith(prefix) and lines[1].endswith(suffix)
+        need = int(lines[1][len(prefix):-len(suffix)])
+        have = {"bytes": need - 1}
+        monkeypatch.setattr(
+            "os.sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else have["bytes"]
+        )
+        out = tmp_path / "x.csv"
+        argv = ("run", "--config", config_path, "--runs", "1", "--out", str(out))
+        assert run_cli(*argv) == 2
+        assert f"needs {need} bytes" in capsys.readouterr().err
+        have["bytes"] = need
+        assert run_cli(*argv) == 0 and out.exists()
+
     def test_out_of_range_entry(self, tmp_path, capsys):
         payload = {
             "n_processes": 1,

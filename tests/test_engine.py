@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import fugrant.belief as belief_mod
 import fugrant.engine as engine_mod
 from fugrant.belief import (
     CapacityError,
@@ -57,6 +58,18 @@ def small_config(seed=0, **overrides):
         rng_stream(seed, 0, "scenario"),
         seed=seed,
     )
+
+
+def counting_fills(monkeypatch):
+    """(rows offered, rows filled) of every prefetch_evidence call the engine makes."""
+    fills, real = [], engine_mod.prefetch_evidence
+
+    def counted(belief, observations, config):
+        fills.append((len(observations), real(belief, observations, config)))
+        return fills[-1][1]
+
+    monkeypatch.setattr(engine_mod, "prefetch_evidence", counted)
+    return fills
 
 
 class TestRunEpisode:
@@ -251,6 +264,37 @@ class TestRunEpisode:
             without_memo = needed_bytes()
         assert needed_bytes() == without_memo + 512 * 1024
 
+    @pytest.mark.parametrize("n, block", [(10, 32), (14, 2)])
+    def test_feedback_memo_stays_in_its_bytes_through_an_episode(self, n, block, monkeypatch):
+        # the prefetched rows are views of their block: count each array the
+        # memo keeps alive once, as it is before every filter step
+        cfg = small_config(n_processes=n, n_devices=30, horizon=3 * block + 1)
+        kept, real = [], engine_mod.forward_update
+
+        def measured(belief, obs, config):
+            arrays = (f if f.base is None else f.base for _, _, f in belief._evidence.values())
+            kept.append(sum({id(a): a.nbytes for a in arrays}.values()))
+            return real(belief, obs, config)
+
+        monkeypatch.setattr(engine_mod, "forward_update", measured)
+        fills = counting_fills(monkeypatch)
+        run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
+        assert [filled for _, filled in fills] == [block, block, block, 1]
+        assert len(kept) == cfg.horizon
+        assert max(kept) == block * cfg.n_states * 8 <= belief_mod._EVIDENCE_MEMO_BYTES
+
+    @pytest.mark.parametrize("n, table", [(17, True), (4, False)])
+    def test_no_block_past_the_memo_or_without_the_table(self, n, table, monkeypatch):
+        # N = 17 has no room for one factor; with the table over its cap the
+        # block has no GEMM to run: both keep the per-slot path
+        cfg = small_config(n_processes=n, n_devices=4, horizon=3)
+        if not table:
+            monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
+        fills = counting_fills(monkeypatch)
+        res = run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
+        assert [filled for _, filled in fills] == [0, 0, 0]
+        assert res.series["fu_feedback"]["regret_slot"].shape == (3,)
+
     @pytest.mark.parametrize("n", [25, 30])
     @pytest.mark.parametrize("tracker", ["fu_limited", "fu_feedback"])
     def test_tracker_capacity_is_refused_before_any_draw(self, n, tracker, monkeypatch):
@@ -324,7 +368,8 @@ class TestRunEpisode:
                 res.series[p]["aoi_peak"] >= res.series[p]["aoi_avg"] - 1e-12
             )
 
-    def test_contradiction_resets_tracker(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
+    def test_contradiction_resets_tracker(self, policy, monkeypatch, caplog):
         cfg = small_config(horizon=5)
         calls = {"n": 0}
         real = engine_mod.forward_update
@@ -336,10 +381,23 @@ class TestRunEpisode:
             return real(belief, obs, config)
 
         monkeypatch.setattr(engine_mod, "forward_update", flaky)
+        fills = counting_fills(monkeypatch)
+        evaluated = []
+        real_evidence = belief_mod._log_evidence
+        monkeypatch.setattr(
+            belief_mod, "_log_evidence", lambda obs, c: evaluated.append(1) or real_evidence(obs, c)
+        )
         with caplog.at_level(logging.WARNING, logger="fugrant.engine"):
-            res = run_episode(cfg, ["fu_limited"], rng_stream(0, 0, "episode"))
+            res = run_episode(cfg, [policy], rng_stream(0, 0, "episode"))
         assert isinstance(res, EpisodeResult)
         assert any("reset" in r.message for r in caplog.records)
+        if policy == "fu_feedback":
+            # the reset in slot 1 drops the block filled at slot 0 (all 5
+            # slots); the tracker refills from slot 2, and every slot hits
+            assert fills == [(5, 5), (3, 3)]
+            assert evaluated == []
+        else:
+            assert fills == [] and evaluated
 
     def test_massive_k_feedback_never_resets(self, caplog):
         # 3000 observed devices per slot: the evidence must not underflow

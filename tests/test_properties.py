@@ -12,7 +12,9 @@ from fugrant.belief import (
     OBSERVED_ACTIVE,
     OBSERVED_SILENT,
     UNOBSERVED,
+    _LOG_FLOOR,
     BeliefState,
+    _block_log_evidence,
     _evidence_halves,
     _log_active,
     _log_evidence,
@@ -20,6 +22,7 @@ from fugrant.belief import (
     device_forecast,
     forward_update,
     init_belief,
+    prefetch_evidence,
     state_forecast,
 )
 from fugrant.engine import _BLOCK_ENTRIES, run_episode
@@ -60,9 +63,10 @@ def test_forward_filter_matches_path_enumeration(seed):
 
 
 @st.composite
-def edge_filtering_instances(draw):
+def edge_filtering_instances(draw, hidden=1 / 3):
     """Scenario with q entries of exactly 0 or 1 and one eps of 0, plus a
-    trajectory's evidence with active, silent and unobserved devices."""
+    trajectory's evidence with active, silent and, each with probability
+    `hidden`, unobserved devices."""
     n, k, steps = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     prob = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
     q = draw(st.lists(st.lists(prob, min_size=k, max_size=k), min_size=n, max_size=n))
@@ -78,7 +82,7 @@ def edge_filtering_instances(draw):
     for _ in range(steps):
         state = step_processes(state, config, rng)
         obs = sample_activations(state, config, rng).astype(np.int8)
-        obs[rng.random(k) < 1 / 3] = UNOBSERVED
+        obs[rng.random(k) < hidden] = UNOBSERVED
         observations.append(obs)
     return config, observations
 
@@ -88,6 +92,18 @@ def edge_filtering_instances(draw):
 def test_forward_filter_matches_path_enumeration_at_edge_values(instance):
     # log(0) terms must reach the weights as exact zeros, never as NaN
     assert max(forward_filter_gaps(*instance)) <= 1e-9
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    st.integers(0, 10_000).map(lambda seed: random_filtering_instance(seed, 3, 3, 4, hidden=0.0))
+    | edge_filtering_instances(hidden=0.0)
+)
+def test_full_feedback_through_the_block_fill_matches_path_enumeration(instance):
+    # every device observed: each slot's evidence comes from prefetch_evidence's
+    # block, as fu_feedback's does in the engine, and never from the per-slot path
+    with mock.patch("fugrant.belief._log_evidence", side_effect=AssertionError("per-slot")):
+        assert max(forward_filter_gaps(*instance)) <= 1e-9
 
 
 @st.composite
@@ -149,6 +165,18 @@ def test_evidence_paths_agree(slot):
     with mock.patch("fugrant.belief._TABLE_MAX_ENTRIES", 0):
         uncached = _log_evidence(obs, dataclasses.replace(config))
     np.testing.assert_array_equal(uncached, sparse)
+
+    # a block of fully observed rows (this slot with its unobserved devices
+    # silent, and every device active): each row within 1e-12 of its per-slot
+    # evidence, floors included, and a row at the floor in every state never stored
+    rows = np.array([np.where(obs == UNOBSERVED, OBSERVED_SILENT, obs), np.ones_like(obs)])
+    per_slot = [_log_evidence(row, config) for row in rows]
+    for block_row, slot_row in zip(_block_log_evidence(rows, config), per_slot):
+        np.testing.assert_allclose(block_row, slot_row, rtol=1e-12, atol=1e-12)
+    belief = BeliefState(np.full(config.n_states, 1.0 / config.n_states))
+    assert prefetch_evidence(belief, rows, config) == len(rows)
+    for row, slot_row in zip(rows, per_slot):
+        assert (row.tobytes() in belief._evidence) == (slot_row.max() > _LOG_FLOOR)
 
 
 def slot_by_slot(state, config, uniforms):
