@@ -18,7 +18,9 @@ A censored tracker sees the same few observations again and again, so each
 tracker keeps the evidence factor of its recent observations in a small LRU
 memo (512 KiB of factors) and multiplies a repeat by the stored array. Full
 feedback's evidence does not depend on the grants, so it is put in that memo
-a block of slots ahead.
+a block of slots ahead, one GEMM over the log-activation table per block: at
+least an eighth of the devices' count of slots, so each slot reads at most
+eight table rows' worth of it.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ _TABLE_MAX_ENTRIES = 1 << 23
 _LOG_FLOOR = -1e300
 
 # Bytes of evidence factors one tracker's memo holds: 64 at N = 10, 4 at
-# N = 14, none past N = 16. It also bounds a prefetched block and its one
-# temporary of the same size: 32 slots at N = 10, 2 at N = 14, and none from
-# N = 15, where a block of one row would share nothing.
+# N = 14, none past N = 16. A prefetched block has at least half as many rows
+# (32 at N = 10) and at least K // 8 (12 at N = 14 with K = 100; see
+# _block_rows).
 _EVIDENCE_MEMO_BYTES = 1 << 19
+
+# Largest temporary of a block's silent term, added a sub-block at a time.
+_SUB_BLOCK_BYTES = 1 << 18
 
 # Processes per transition-matrix group in _predict (a 32 x 32 matrix).
 _GROUP = 5
@@ -211,17 +216,35 @@ def _log_active_table(config: ScenarioConfig) -> np.ndarray | None:
     return config.cached("belief.log_active_table", lambda: _log_active(config, slice(None)))
 
 
+def _block_rows(n: int, k: int) -> int:
+    """Rows of full feedback's prefetched block at N processes and K devices:
+    half the memo's entries or K // 8, whichever is more, so one pass over
+    the (K, 2^N) table serves enough slots to pay for itself (32 at N = 10;
+    12 at N = 14 with K = 100). 0 when that is under two rows or the table
+    is not cached."""
+    states = 1 << n
+    rows = max(_EVIDENCE_MEMO_BYTES // (8 * states) // 2, k // 8)
+    return rows if rows >= 2 and states * k <= _TABLE_MAX_ENTRIES else 0
+
+
+def _evidence_bytes(n: int, k: int) -> int:
+    """Peak bytes of one tracker's evidence factors: its memo's
+    _EVIDENCE_MEMO_BYTES, or a prefetched block with its sub-block
+    temporary when that is more. The memo is emptied before each fill."""
+    block = 8 * (1 << n) * _block_rows(n, k)
+    return max(_EVIDENCE_MEMO_BYTES, block + min(block, _SUB_BLOCK_BYTES))
+
+
 def _filter_bytes(n: int, k: int) -> int:
     """Peak bytes of one tracker at N processes and K devices: four 2^N-float
     vectors (old and new weights, the log-evidence and one temporary), the
     evidence and forecast half tables, the (2^N, K) log-activation table
-    when _log_evidence caches it, and the evidence memo's
-    _EVIDENCE_MEMO_BYTES, which also holds a prefetched block of full
-    feedback's factors and its temporary (see prefetch_evidence)."""
+    when _log_evidence caches it, and the evidence memo or prefetched block
+    (see _evidence_bytes)."""
     states, h = 1 << n, n // 2
     table = states * k if states * k <= _TABLE_MAX_ENTRIES else 0
     halves = 2 * ((1 << h) + (1 << (n - h))) * k
-    return 8 * (4 * states + halves + table) + _EVIDENCE_MEMO_BYTES
+    return 8 * (4 * states + halves + table) + _evidence_bytes(n, k)
 
 
 def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
@@ -321,12 +344,19 @@ def _block_log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """_log_evidence of each row of obs, (C, K) int8 rows that observe every
     device, shape (C, 2^N): the active term as one GEMM over the cached
     log-activation table, the silent term as two GEMMs over the half tables,
-    added in _log_evidence's order."""
+    added in _log_evidence's order, le + (high + low), a sub-block of at most
+    _SUB_BLOCK_BYTES at a time."""
     low, high = _evidence_halves(config)
     x = (obs == OBSERVED_ACTIVE).astype(float)
     le = x @ _log_active_table(config)
     np.subtract(1.0, x, out=x)  # every device is observed: silent = 1 - active
-    le += ((x @ high.T)[:, :, None] + (x @ low.T)[:, None, :]).reshape(len(obs), -1)
+    hi, lo = x @ high.T, x @ low.T
+    grid = le.reshape(len(obs), len(high), len(low))
+    rows = max(1, _SUB_BLOCK_BYTES // le[0].nbytes)  # whole rows, or slices of one
+    cols = max(1, _SUB_BLOCK_BYTES // lo[0].nbytes)
+    for r in range(0, len(obs), rows):
+        for c in range(0, len(high), cols):
+            grid[r:r + rows, c:c + cols] += hi[r:r + rows, c:c + cols, None] + lo[r:r + rows, None]
     return le
 
 
@@ -336,18 +366,18 @@ def prefetch_evidence(
     """Put the evidence of the coming fully observed slots in the tracker's memo.
 
     Takes the leading rows of `observations` (M, K) that observe every
-    device, at most half the memo's entries, and stores each row's
+    device, at most _block_rows of them, and stores each row's
     (config, m, factor) under its int8 bytes, read-only, as forward_update
     stores a miss, from one _block_log_evidence, row max, shift and exp. The
-    memo is emptied first, so the block and its one temporary fit in
-    _EVIDENCE_MEMO_BYTES; callers bound M, since the block takes C * K
-    floats (the engine passes the rest of its chunk). A row impossible under
-    every state (m at _LOG_FLOOR) is not stored. Returns the rows covered:
-    0 without a cached table, when the block would be under two rows
-    (N >= 15), or when the first row leaves a device unobserved.
+    memo is emptied first, so the block and its sub-block temporary are all
+    the factors alive (_evidence_bytes counts them); callers bound M, since
+    the block takes C * K floats (the engine passes the rest of its chunk).
+    A row impossible under every state (m at _LOG_FLOOR) is not stored.
+    Returns the rows covered: 0 without a cached table, when the block would
+    be under two rows, or when the first row leaves a device unobserved.
     """
-    block = _EVIDENCE_MEMO_BYTES // (8 * config.n_states) // 2
-    if block < 2 or _log_active_table(config) is None:
+    block = _block_rows(config.n_processes, config.n_devices)
+    if not block:
         return 0
     obs = np.asarray(observations[:block], dtype=np.int8)
     c = int(np.logical_and.accumulate((obs != UNOBSERVED).all(axis=1)).sum())

@@ -124,10 +124,11 @@ def _memory_need(
     S = P * 5 * 8 * T bytes of series; min(T, chunk) rows of N + K float64
     uniforms; a grant memo of min(T, 2^N) rows of K bytes when the genie or
     a tracker runs (one policy at a time); and when a tracker runs, its
-    belief vectors, evidence tables and evidence memo (see
-    belief._filter_bytes); fu_feedback's prefetched block takes C * K floats
-    of the chunk's uniforms, freed by then. run_monte_carlo adds runs * S,
-    then 2 * S: (runs + 2) * S + E bytes, or E alone when runs = 0."""
+    belief vectors, evidence tables, and evidence memo or fu_feedback's
+    prefetched block, whichever is larger (see belief._filter_bytes); the
+    block's observations take C * K floats of the chunk's uniforms, freed by
+    then. run_monte_carlo adds runs * S, then 2 * S: (runs + 2) * S + E
+    bytes, or E alone when runs = 0."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon

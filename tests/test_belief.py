@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fugrant.belief import (
     BeliefState,
     CapacityError,
     EvidenceContradictionError,
+    _block_log_evidence,
     _evidence_halves,
     _log_active,
     _log_evidence,
@@ -483,9 +485,12 @@ class TestPrefetchEvidence:
             rows.append(sample_activations(state, cfg, rng.random(cfg.n_devices)))
         return np.array(rows)
 
-    def test_updates_stay_within_1e12_of_a_per_slot_tracker(self, monkeypatch):
-        cfg = make_scenario(n=10, k=20, seed=4)
-        acts = self.feedback(cfg, 40)
+    # half the memo's 64 entries at N = 10, then the rest; at N = 12, K = 200
+    # K // 8 = 25 rows, more than half the memo's 16
+    @pytest.mark.parametrize("n, k, slots, rows", [(10, 20, 40, 32), (12, 200, 50, 25)])
+    def test_updates_stay_within_1e12_of_a_per_slot_tracker(self, n, k, slots, rows, monkeypatch):
+        cfg = make_scenario(n=n, k=k, seed=4)
+        acts = self.feedback(cfg, slots)
         calls = counting_evidence(monkeypatch)
         block, fresh = init_belief(cfg), init_belief(cfg)
         filled, fills = 0, []
@@ -498,9 +503,24 @@ class TestPrefetchEvidence:
             fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
             np.testing.assert_allclose(block.weights, fresh.weights, rtol=1e-12, atol=0)
             assert block.log_scale == pytest.approx(fresh.log_scale, rel=1e-12, abs=0)
-        # half the memo's 64 entries at N = 10, then the rest; every slot a hit
-        assert fills == [32, 8]
-        assert len(calls) == len(acts)  # the per-slot tracker's own evaluations
+        assert fills == [rows] * (slots // rows) + [slots % rows] * (slots % rows > 0)
+        assert len(calls) == len(acts)  # the per-slot tracker's own evaluations: every slot a hit
+
+    def test_a_block_allocates_no_block_sized_temporary(self):
+        # the silent term is added a sub-block of at most 256 KiB at a time;
+        # besides the (C, 2^N) evidence only a few (C, K)-sized arrays and
+        # the ufunc's two iterator buffers remain
+        cfg = make_scenario(n=14, k=100, seed=14)
+        obs = self.feedback(cfg, 12).astype(np.int8)
+        _block_log_evidence(obs[:1], cfg)  # builds and caches the tables
+        tracemalloc.start()
+        try:
+            le = _block_log_evidence(obs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert le.nbytes == 12 * (1 << 14) * 8
+        assert peak <= le.nbytes + 256 * 1024 + 8 * obs.size * 8 + 2 * 8 * np.getbufsize()
 
     def test_a_stored_row_that_contradicts_the_belief_raises_on_the_hit(self):
         # as in test_contradiction_raises: device 0 cannot be active from state

@@ -264,11 +264,29 @@ class TestRunEpisode:
             without_memo = needed_bytes()
         assert needed_bytes() == without_memo + 512 * 1024
 
-    @pytest.mark.parametrize("n, block", [(10, 32), (14, 2)])
+    def test_feedback_block_past_the_memo_counts_toward_the_episode(self, monkeypatch):
+        # at N = 14, K = 100 fu_feedback's block is K // 8 = 12 rows of 2^14
+        # floats, plus a 256 KiB sub-block temporary: more than the memo
+        cfg = small_config(n_processes=14, n_devices=100)
+
+        def needed_bytes():
+            monkeypatch.setattr("os.sysconf", lambda name: 1)
+            with pytest.raises(ConfigurationError, match="n_processes = 14") as info:
+                run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
+            return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+        with monkeypatch.context() as patch:
+            patch.setattr("fugrant.belief._block_rows", lambda n, k: 0)
+            memo_only = needed_bytes()
+        block = 12 * (1 << 14) * 8
+        assert needed_bytes() == memo_only + block + 256 * 1024 - 512 * 1024
+
+    @pytest.mark.parametrize("n, block", [(10, 32), (14, 12)])
     def test_feedback_memo_stays_in_its_bytes_through_an_episode(self, n, block, monkeypatch):
-        # the prefetched rows are views of their block: count each array the
+        # K = 100: half the memo's entries at N = 10, K // 8 at N = 14. The
+        # prefetched rows are views of their block: count each array the
         # memo keeps alive once, as it is before every filter step
-        cfg = small_config(n_processes=n, n_devices=30, horizon=3 * block + 1)
+        cfg = small_config(n_processes=n, n_devices=100, horizon=3 * block + 1)
         kept, real = [], engine_mod.forward_update
 
         def measured(belief, obs, config):
@@ -281,7 +299,7 @@ class TestRunEpisode:
         run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
         assert [filled for _, filled in fills] == [block, block, block, 1]
         assert len(kept) == cfg.horizon
-        assert max(kept) == block * cfg.n_states * 8 <= belief_mod._EVIDENCE_MEMO_BYTES
+        assert max(kept) == block * cfg.n_states * 8 <= belief_mod._evidence_bytes(n, 100)
 
     @pytest.mark.parametrize("n, table", [(17, True), (4, False)])
     def test_no_block_past_the_memo_or_without_the_table(self, n, table, monkeypatch):
