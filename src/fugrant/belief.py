@@ -11,8 +11,11 @@ space, so no number of observed devices can underflow it.
 
 The prediction step applies the Kronecker product of up to five processes'
 2x2 kernels (32 x 32) along their axes of the weight tensor, one matmul per
-group; the full 2^N x 2^N transition matrix is never materialized. Evidence
-and the marginal forecast are built from half-width tables.
+group; the full 2^N x 2^N transition matrix is never materialized. The
+marginal forecast is built from half-width tables. The evidence has one
+formula per term: the active devices' rows of log P(active | state), summed
+in index order, and the silent devices' term, added in place from
+half-width tables.
 
 A censored tracker sees the same few observations again and again, so each
 tracker keeps the evidence factor of its recent observations in a small LRU
@@ -59,9 +62,6 @@ _LOG_FLOOR = -1e300
 # (32 at N = 10) and at least K // 8 (12 at N = 14 with K = 100; see
 # _block_rows).
 _EVIDENCE_MEMO_BYTES = 1 << 19
-
-# Largest temporary of a block's silent term, added a sub-block at a time.
-_SUB_BLOCK_BYTES = 1 << 18
 
 # Processes per transition-matrix group in _predict (a 32 x 32 matrix).
 _GROUP = 5
@@ -229,10 +229,10 @@ def _block_rows(n: int, k: int) -> int:
 
 def _evidence_bytes(n: int, k: int) -> int:
     """Peak bytes of one tracker's evidence factors: its memo's
-    _EVIDENCE_MEMO_BYTES, or a prefetched block with its sub-block
-    temporary when that is more. The memo is emptied before each fill."""
-    block = 8 * (1 << n) * _block_rows(n, k)
-    return max(_EVIDENCE_MEMO_BYTES, block + min(block, _SUB_BLOCK_BYTES))
+    _EVIDENCE_MEMO_BYTES, or a prefetched block when that is more. The memo
+    is emptied before each fill, and the block builds no temporary of its
+    size."""
+    return max(_EVIDENCE_MEMO_BYTES, 8 * (1 << n) * _block_rows(n, k))
 
 
 def _filter_bytes(n: int, k: int) -> int:
@@ -247,35 +247,38 @@ def _filter_bytes(n: int, k: int) -> int:
     return 8 * (4 * states + halves + table) + _evidence_bytes(n, k)
 
 
+def _add_silent(le: np.ndarray, silent: np.ndarray, config: ScenarioConfig) -> None:
+    """Add the silent term of each row of `silent`, (C, K) floats that are 1
+    for a device observed silent, to le in place, le being C log-evidence
+    rows of 2^N. Silent devices factor over the two process halves
+    (QuickScore; Heckerman 1989): le += high term, then le += low term,
+    each broadcast over the other half, so no (C, 2^N) temporary is built."""
+    low, high = _evidence_halves(config)
+    grid = le.reshape(len(silent), len(high), len(low))
+    grid += (silent @ high.T)[:, :, None]
+    grid += (silent @ low.T)[:, None, :]
+
+
 def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     """Log-likelihood of the slot's evidence for every state, shape (2^N,),
     or None when no device is observed. Each active device adds its row of
-    log P(active | state), cached as one table up to _TABLE_MAX_ENTRIES:
-    when more than a quarter of the devices are active, as one GEMV over the
-    table; otherwise, and at every slot above the cap, row by row in index
-    order, so a slot reads only the rows it saw. Silent devices factor over
-    the two process halves (QuickScore; Heckerman 1989)."""
-    active = obs == OBSERVED_ACTIVE
+    log P(active | state) in index order, so a slot reads only the rows it
+    saw: from the (K, 2^N) table when it is cached, else rebuilt, bit for
+    bit the same. _add_silent then adds the silent devices."""
+    active = np.flatnonzero(obs == OBSERVED_ACTIVE).tolist()
     silent = obs == OBSERVED_SILENT
-    n_active, le = np.count_nonzero(active), None
-    if n_active:
+    if active:
         table = _log_active_table(config)
-        if table is not None and 4 * n_active > config.n_devices:
-            le = active.astype(float) @ table
-        else:
-            rows = (_log_active(config, [k])[0] if table is None else table[k]
-                    for k in np.flatnonzero(active).tolist())
-            le = next(rows).copy()
-            for row in rows:
-                le += row
+        rows = (_log_active(config, [k])[0] if table is None else table[k] for k in active)
+        le = next(rows).copy()
+        for row in rows:
+            le += row
+    elif silent.any():
+        le = np.zeros(config.n_states)
+    else:
+        return None
     if silent.any():
-        low, high = _evidence_halves(config)
-        s = silent.astype(float)
-        term = ((high @ s)[:, None] + low @ s).reshape(-1)
-        if le is None:
-            le = term
-        else:
-            le += term
+        _add_silent(le, silent[None].astype(float), config)
     return le
 
 
@@ -343,20 +346,12 @@ def forward_update(
 def _block_log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """_log_evidence of each row of obs, (C, K) int8 rows that observe every
     device, shape (C, 2^N): the active term as one GEMM over the cached
-    log-activation table, the silent term as two GEMMs over the half tables,
-    added in _log_evidence's order, le + (high + low), a sub-block of at most
-    _SUB_BLOCK_BYTES at a time."""
-    low, high = _evidence_halves(config)
+    log-activation table, then _add_silent's term, within 1e-12 of the
+    per-slot row sums."""
     x = (obs == OBSERVED_ACTIVE).astype(float)
     le = x @ _log_active_table(config)
     np.subtract(1.0, x, out=x)  # every device is observed: silent = 1 - active
-    hi, lo = x @ high.T, x @ low.T
-    grid = le.reshape(len(obs), len(high), len(low))
-    rows = max(1, _SUB_BLOCK_BYTES // le[0].nbytes)  # whole rows, or slices of one
-    cols = max(1, _SUB_BLOCK_BYTES // lo[0].nbytes)
-    for r in range(0, len(obs), rows):
-        for c in range(0, len(high), cols):
-            grid[r:r + rows, c:c + cols] += hi[r:r + rows, c:c + cols, None] + lo[r:r + rows, None]
+    _add_silent(le, x, config)
     return le
 
 
@@ -369,8 +364,8 @@ def prefetch_evidence(
     device, at most _block_rows of them, and stores each row's
     (config, m, factor) under its int8 bytes, read-only, as forward_update
     stores a miss, from one _block_log_evidence, row max, shift and exp. The
-    memo is emptied first, so the block and its sub-block temporary are all
-    the factors alive (_evidence_bytes counts them); callers bound M, since
+    memo is emptied first, so the block is all the factors alive
+    (_evidence_bytes counts it); callers bound M, since
     the block takes C * K floats (the engine passes the rest of its chunk).
     A row impossible under every state (m at _LOG_FLOOR) is not stored.
     Returns the rows covered: 0 without a cached table, when the block would

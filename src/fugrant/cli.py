@@ -33,7 +33,6 @@ from .model import (
     check_int,
     stationary_on_probs,
 )
-from .oracle import run_oracle_suite
 from .policies import POLICIES
 
 # Sampling presets at the two study scales. q_max=0.8 keeps the round-robin
@@ -152,6 +151,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import run_oracle_suite  # only this command needs it
+
     for flag in ("max_n", "max_k", "max_t", "instances"):
         check_int("--" + flag.replace("_", "-"), getattr(args, flag), 1)
     check_int("--seed", args.seed, 0, MAX_SEED)

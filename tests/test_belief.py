@@ -178,15 +178,17 @@ class TestEmission:
         assert _log_evidence(all_unobserved(cfg.n_devices), cfg) is None
 
     def test_table_and_fallback_agree(self, monkeypatch):
-        cfg = make_scenario(n=4, k=6, seed=5)
-        obs = np.array([1, 0, -1, 1, 0, -1], dtype=np.int8)
+        # a dense slot, 5 of 8 devices active: the table is only a cache, so
+        # the evidence is bit for bit the same with and without it
+        cfg = make_scenario(n=4, k=8, seed=5)
+        obs = np.array([1, 0, 1, 1, -1, 1, 0, 1], dtype=np.int8)
         with_table = np.exp(_log_evidence(obs, cfg))
         assert "belief.log_active_table" in cfg._cache
         monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
-        cfg2 = make_scenario(n=4, k=6, seed=5)
+        cfg2 = make_scenario(n=4, k=8, seed=5)
         without_table = np.exp(_log_evidence(obs, cfg2))
         assert "belief.log_active_table" not in cfg2._cache
-        np.testing.assert_allclose(with_table, without_table, atol=1e-14)
+        np.testing.assert_array_equal(with_table, without_table)
 
     @pytest.mark.parametrize("cols", [[4, 0, 2], slice(None)], ids=["list", "all"])
     def test_log_active_is_one_contiguous_row_per_device(self, cols):
@@ -507,9 +509,9 @@ class TestPrefetchEvidence:
         assert len(calls) == len(acts)  # the per-slot tracker's own evaluations: every slot a hit
 
     def test_a_block_allocates_no_block_sized_temporary(self):
-        # the silent term is added a sub-block of at most 256 KiB at a time;
-        # besides the (C, 2^N) evidence only a few (C, K)-sized arrays and
-        # the ufunc's two iterator buffers remain
+        # the silent term is added into the evidence in place; besides the
+        # (C, 2^N) evidence only a few (C, K)-sized arrays and the ufunc's
+        # two iterator buffers remain
         cfg = make_scenario(n=14, k=100, seed=14)
         obs = self.feedback(cfg, 12).astype(np.int8)
         _block_log_evidence(obs[:1], cfg)  # builds and caches the tables
@@ -520,7 +522,7 @@ class TestPrefetchEvidence:
         finally:
             tracemalloc.stop()
         assert le.nbytes == 12 * (1 << 14) * 8
-        assert peak <= le.nbytes + 256 * 1024 + 8 * obs.size * 8 + 2 * 8 * np.getbufsize()
+        assert peak <= le.nbytes + 8 * obs.size * 8 + 2 * 8 * np.getbufsize()
 
     def test_a_stored_row_that_contradicts_the_belief_raises_on_the_hit(self):
         # as in test_contradiction_raises: device 0 cannot be active from state

@@ -540,6 +540,21 @@ class TestConsoleScript:
         assert proc.returncode == 2
         assert "bogus" in proc.stderr
 
+    def test_run_does_not_import_the_oracle(self, config_path, tmp_path):
+        # the oracle is only for `fugrant oracle`; every run would pay its import
+        code = (
+            "import sys; from fugrant.cli import main; "
+            f"main(['run', '--config', {config_path!r}, '--runs', '1', '--horizon', '1', "
+            f"'--out', {str(tmp_path / 'out.csv')!r}]); "
+            "print('fugrant.oracle' in sys.modules)"
+        )
+        env = dict(os.environ)
+        package_parent = os.path.dirname(os.path.dirname(fugrant.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.skipif(
         shutil.which("fugrant") is None,
         reason="no fugrant executable on PATH (package not installed)",

@@ -266,7 +266,7 @@ class TestRunEpisode:
 
     def test_feedback_block_past_the_memo_counts_toward_the_episode(self, monkeypatch):
         # at N = 14, K = 100 fu_feedback's block is K // 8 = 12 rows of 2^14
-        # floats, plus a 256 KiB sub-block temporary: more than the memo
+        # floats, more than the memo, and builds no temporary of its size
         cfg = small_config(n_processes=14, n_devices=100)
 
         def needed_bytes():
@@ -279,7 +279,7 @@ class TestRunEpisode:
             patch.setattr("fugrant.belief._block_rows", lambda n, k: 0)
             memo_only = needed_bytes()
         block = 12 * (1 << 14) * 8
-        assert needed_bytes() == memo_only + block + 256 * 1024 - 512 * 1024
+        assert needed_bytes() == memo_only + block - 512 * 1024
 
     @pytest.mark.parametrize("n, block", [(10, 32), (14, 12)])
     def test_feedback_memo_stays_in_its_bytes_through_an_episode(self, n, block, monkeypatch):

@@ -141,10 +141,11 @@ def evidence_slots(draw):
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(evidence_slots())
 def test_evidence_paths_agree(slot):
-    # up to a quarter of the devices active: rows summed in index order,
-    # bit for bit the per-device path above the table cap; more: one GEMV
-    # over the table, within 1e-12 of the row sums, floors included. Both
-    # terms are always added here, so an empty term skipped must change no bit.
+    # the active rows summed in index order at every density, then the
+    # silent term added in place, high half before low half: bit for bit the
+    # per-device path above the table cap. A GEMV over the table stays
+    # within 1e-12 of the row sums, floors included. Both terms are always
+    # added here, so an empty term skipped must change no bit.
     config, obs = slot
     active, silent = obs == OBSERVED_ACTIVE, obs == OBSERVED_SILENT
     le = _log_evidence(obs, config)
@@ -153,18 +154,19 @@ def test_evidence_paths_agree(slot):
         return
     low, high = _evidence_halves(config)
     s = silent.astype(float)
-    silent_term = ((high @ s)[:, None] + low @ s).reshape(-1)
     table = _log_active(config, slice(None))
-    sparse = np.zeros(config.n_states)
+    row_sums = np.zeros(config.n_states)
     for k in np.flatnonzero(active):
-        sparse += table[k]
-    sparse += silent_term
-    dense = active.astype(float) @ table + silent_term
-    np.testing.assert_array_equal(le, sparse if 4 * active.sum() <= config.n_devices else dense)
-    np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=1e-12)
+        row_sums += table[k]
+    grid = row_sums.reshape(len(high), len(low))
+    grid += (s @ high.T)[:, None]
+    grid += s @ low.T
+    np.testing.assert_array_equal(le, row_sums)
+    gemv = active.astype(float) @ table + ((high @ s)[:, None] + low @ s).reshape(-1)
+    np.testing.assert_allclose(gemv, row_sums, rtol=1e-12, atol=1e-12)
     with mock.patch("fugrant.belief._TABLE_MAX_ENTRIES", 0):
         uncached = _log_evidence(obs, dataclasses.replace(config))
-    np.testing.assert_array_equal(uncached, sparse)
+    np.testing.assert_array_equal(uncached, row_sums)
 
     # a block of fully observed rows (this slot with its unobserved devices
     # silent, and every device active): each row within 1e-12 of its per-slot
