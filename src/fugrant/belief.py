@@ -265,18 +265,14 @@ def _log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     log P(active | state) in index order, so a slot reads only the rows it
     saw: from the (K, 2^N) table when it is cached, else rebuilt, bit for
     bit the same. _add_silent then adds the silent devices."""
-    active = np.flatnonzero(obs == OBSERVED_ACTIVE).tolist()
-    silent = obs == OBSERVED_SILENT
-    if active:
-        table = _log_active_table(config)
-        rows = (_log_active(config, [k])[0] if table is None else table[k] for k in active)
-        le = next(rows).copy()
-        for row in rows:
-            le += row
-    elif silent.any():
-        le = np.zeros(config.n_states)
-    else:
+    if (obs == UNOBSERVED).all():
         return None
+    active = np.flatnonzero(obs == OBSERVED_ACTIVE).tolist()
+    table = _log_active_table(config) if active else None
+    le = np.zeros(config.n_states)
+    for k in active:
+        le += _log_active(config, [k])[0] if table is None else table[k]
+    silent = obs == OBSERVED_SILENT
     if silent.any():
         _add_silent(le, silent[None].astype(float), config)
     return le
@@ -360,17 +356,20 @@ def prefetch_evidence(
 ) -> int:
     """Put the evidence of the coming fully observed slots in the tracker's memo.
 
-    Takes the leading rows of `observations` (M, K) that observe every
-    device, at most _block_rows of them, and stores each row's
-    (config, m, factor) under its int8 bytes, read-only, as forward_update
-    stores a miss, from one _block_log_evidence, row max, shift and exp. The
-    memo is emptied first, so the block is all the factors alive
-    (_evidence_bytes counts it); callers bound M, since
-    the block takes C * K floats (the engine passes the rest of its chunk).
-    A row impossible under every state (m at _LOG_FLOOR) is not stored.
-    Returns the rows covered: 0 without a cached table, when the block would
-    be under two rows, or when the first row leaves a device unobserved.
+    `observations` (M, K) start at the current slot. When its row is not yet
+    stored for this config, the memo is emptied and the leading rows that
+    observe every device, at most _block_rows of them, are stored as
+    forward_update stores a miss: (config, m, factor) under the row's int8
+    bytes, read-only, from one _block_log_evidence, row max, shift and exp.
+    A row impossible under every state (m at _LOG_FLOOR) is not stored. The
+    block is then all the factors alive (_evidence_bytes counts it); its
+    C * K floats are bounded by M and by _block_rows. Returns the rows
+    covered: 0 when the current row is stored or leaves a device unobserved,
+    without a cached table, or when the block would be under two rows.
     """
+    entry = belief._evidence.get(np.asarray(observations[0], dtype=np.int8).tobytes())
+    if entry is not None and entry[0] is config:
+        return 0
     block = _block_rows(config.n_processes, config.n_devices)
     if not block:
         return 0

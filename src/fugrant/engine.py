@@ -165,9 +165,10 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     decide a whole chunk at once; the genie and the fu trackers decide slot
     by slot, from information through the previous slot, into the chunk's
     grant rows, reusing a state's grant row whenever no tie lets ages change
-    it. fu_feedback's tracker gets the chunk's coming evidence a block ahead
-    (belief.prefetch_evidence) whenever a slot passes the filled range, and
-    right after a reset. Each chunk is then scored in one fold.
+    it. Before each fu_feedback step, belief.prefetch_evidence is offered the
+    rest of the chunk and fills the tracker's memo a block ahead whenever the
+    slot's evidence is not stored, as after a reset. Each chunk is then
+    scored in one fold.
     """
     k, l, horizon = config.n_devices, config.n_slots, config.horizon
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
@@ -175,7 +176,6 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     # State key -> the grant row its forecast decides without ages: the genie's
     # true state bytes, a tracker's MAP state index, or None (never stored).
     memo: dict[bytes | int, np.ndarray] = {}
-    filled = 0  # fu_feedback: the slot up to which the tracker's memo holds the evidence
     last_served = np.zeros(k, dtype=np.int64)  # tie-break ages for the grant loop
     series = {s: np.zeros(horizon) for s in SERIES}
     for start in range(0, horizon, chunk):
@@ -207,8 +207,7 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
                         obs = observe_limited(row, acts[i])
                     else:
                         obs = observe_feedback(acts[i])
-                        if col >= filled:
-                            filled = col + prefetch_evidence(belief, acts[i:], config)
+                        prefetch_evidence(belief, acts[i:], config)
                     try:
                         belief = forward_update(belief, obs, config)
                     except EvidenceContradictionError:
@@ -218,7 +217,6 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
                             policy,
                         )
                         belief = init_belief(config)
-                        filled = col + 1
                 grants[i] = row
                 np.putmask(last_served, row & acts[i], col + 1)
             report = slot_report(acts, grants)

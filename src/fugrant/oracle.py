@@ -102,7 +102,9 @@ def predicted_activation_by_enumeration(
 ) -> float:
     """P(device k active next slot) under the belief `weights`: the mass of
     every (current, next) state pair times the next state's activation
-    probability, summed with math.fsum."""
+    probability, summed with math.fsum. Like the forecast tables it computes
+    1 - prod(1 - q), which loses a q below 1e-16, but only in absolute
+    terms, far under the 1e-12 bound it is checked to."""
     active = [activation_probs(state_bits(s, config.n_processes), config)[k]
               for s in range(config.n_states)]
     pair_mass = dense_transition_matrix(config) * weights * np.array(active)[:, None]
@@ -142,17 +144,15 @@ def forward_filter_gaps(
     over the normalized weights and the unnormalized joint (0 on both sides
     at large K), and between log_scale and the reference log-evidence.
 
-    The filter runs as the engine runs it: each run of fully observed slots
-    has its evidence put in the tracker's memo by
-    `belief.prefetch_evidence`, as fu_feedback's is."""
+    The filter runs as the engine runs it: before each step
+    `belief.prefetch_evidence` is offered the observations from that slot
+    on, as fu_feedback's tracker is."""
     state_belief = belief_mod.init_belief(config)
     gaps = np.zeros(2)
-    filled = 0
-    for step in range(len(observations)):
-        if step >= filled:
-            ahead = np.array(observations[step:])
-            filled = step + belief_mod.prefetch_evidence(state_belief, ahead, config)
-        state_belief = belief_mod.forward_update(state_belief, observations[step], config)
+    ahead = np.array(observations)
+    for step, obs in enumerate(ahead):
+        belief_mod.prefetch_evidence(state_belief, ahead[step:], config)
+        state_belief = belief_mod.forward_update(state_belief, obs, config)
         log_joint = enumerate_forward_log_joint(config, observations[: step + 1])
         log_evidence = np.logaddexp.reduce(log_joint)
         joint_error = state_belief.weights * math.exp(state_belief.log_scale) - np.exp(log_joint)

@@ -1,5 +1,5 @@
-"""Closed-form one-step predictor, the reference the table predictor is
-compared against."""
+"""Closed-form references the fast paths are compared against: the one-step
+predictor, and the schedule of full feedback's prefetched blocks."""
 
 import numpy as np
 
@@ -15,3 +15,16 @@ def predict_activation_probs(state: np.ndarray, config: ScenarioConfig) -> np.nd
     """
     p_on_next = np.where(state.astype(bool), 1.0 - config.eps0, config.eps1)
     return 1.0 - np.prod(1.0 - p_on_next[:, None] * config.q, axis=0)
+
+
+def block_fills(rows: list[bytes], block: int) -> list[int]:
+    """Rows of each block belief.prefetch_evidence fills when it is offered
+    `rows[t:]` before every slot t of a tracker that never resets: a slot
+    whose row the last block did not store starts a block of `block` rows or
+    the rest, and every other slot starts nothing."""
+    fills, stored = [], set()
+    for t, row in enumerate(rows):
+        if row not in stored:
+            fills.append(min(block, len(rows) - t))
+            stored = set(rows[t:t + block])
+    return fills

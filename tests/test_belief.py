@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from closed_form import predict_activation_probs
+from closed_form import block_fills, predict_activation_probs
 
 from fugrant import engine
 from fugrant.belief import (
@@ -487,25 +487,24 @@ class TestPrefetchEvidence:
             rows.append(sample_activations(state, cfg, rng.random(cfg.n_devices)))
         return np.array(rows)
 
-    # half the memo's 64 entries at N = 10, then the rest; at N = 12, K = 200
-    # K // 8 = 25 rows, more than half the memo's 16
+    # half the memo's 64 entries at N = 10, where slot 32 repeats a row of the
+    # first block, so slot 33 fills the last 7; at N = 12, K = 200 two fills
+    # of K // 8 = 25 rows, more than half the memo's 16
     @pytest.mark.parametrize("n, k, slots, rows", [(10, 20, 40, 32), (12, 200, 50, 25)])
     def test_updates_stay_within_1e12_of_a_per_slot_tracker(self, n, k, slots, rows, monkeypatch):
         cfg = make_scenario(n=n, k=k, seed=4)
         acts = self.feedback(cfg, slots)
         calls = counting_evidence(monkeypatch)
         block, fresh = init_belief(cfg), init_belief(cfg)
-        filled, fills = 0, []
+        fills = []
         for t, row in enumerate(acts):
-            if t >= filled:
-                fills.append(prefetch_evidence(block, acts[t:], cfg))
-                filled = t + fills[-1]
+            fills.append(prefetch_evidence(block, acts[t:], cfg))
             obs = observe_feedback(row)
             block = forward_update(block, obs, cfg)
             fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
             np.testing.assert_allclose(block.weights, fresh.weights, rtol=1e-12, atol=0)
             assert block.log_scale == pytest.approx(fresh.log_scale, rel=1e-12, abs=0)
-        assert fills == [rows] * (slots // rows) + [slots % rows] * (slots % rows > 0)
+        assert [f for f in fills if f] == block_fills([a.tobytes() for a in acts], rows)
         assert len(calls) == len(acts)  # the per-slot tracker's own evaluations: every slot a hit
 
     def test_a_block_allocates_no_block_sized_temporary(self):
@@ -547,6 +546,27 @@ class TestPrefetchEvidence:
         assert prefetch_evidence(belief, rows, cfg) == 2
         assert list(belief._evidence) == [rows[0].tobytes(), rows[1].tobytes()]
         assert not any(f.flags.writeable for _, _, f in belief._evidence.values())
+
+    def test_a_stored_row_starts_nothing_and_a_miss_refills(self, monkeypatch):
+        cfg = make_scenario(n=3, k=4, seed=2)
+        rows = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 0]], np.uint8)
+        belief = init_belief(cfg)
+        assert prefetch_evidence(belief, rows[:2], cfg) == 2
+        stored = list(belief._evidence.items())
+        blocks = []
+        monkeypatch.setattr(
+            "fugrant.belief._block_log_evidence",
+            lambda obs, c: blocks.append(len(obs)) or _block_log_evidence(obs, c),
+        )
+        # the engine offers its activity rows (uint8); the memo holds int8 keys
+        assert prefetch_evidence(belief, rows[1:], cfg) == 0
+        assert blocks == [] and list(belief._evidence.items()) == stored
+        assert prefetch_evidence(belief, rows[2:], cfg) == 2
+        assert blocks == [2]
+        assert list(belief._evidence) == [rows[2].tobytes(), rows[3].tobytes()]
+        # a row stored for another config is a miss, as it is for forward_update
+        assert prefetch_evidence(belief, rows[2:3], dataclasses.replace(cfg)) == 1
+        assert blocks == [2, 1]
 
     @pytest.mark.parametrize("n, table", [(15, True), (3, False)])
     def test_nothing_is_filled_under_two_rows_or_without_the_table(self, n, table, monkeypatch):

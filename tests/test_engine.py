@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from closed_form import block_fills
 
 import fugrant.belief as belief_mod
 import fugrant.engine as engine_mod
@@ -35,6 +36,7 @@ from fugrant.model import (
     stationary_on_probs,
     step_processes,
 )
+from fugrant.oracle import enumerate_forward_log_joint
 from fugrant.policies import (
     POLICIES,
     fu_grant,
@@ -61,12 +63,15 @@ def small_config(seed=0, **overrides):
 
 
 def counting_fills(monkeypatch):
-    """(rows offered, rows filled) of every prefetch_evidence call the engine makes."""
+    """(rows offered, rows filled) of every prefetch_evidence call the engine
+    makes that fills the memo; a call that starts no block is left out."""
     fills, real = [], engine_mod.prefetch_evidence
 
     def counted(belief, observations, config):
-        fills.append((len(observations), real(belief, observations, config)))
-        return fills[-1][1]
+        rows = real(belief, observations, config)
+        if rows:
+            fills.append((len(observations), rows))
+        return rows
 
     monkeypatch.setattr(engine_mod, "prefetch_evidence", counted)
     return fills
@@ -285,19 +290,23 @@ class TestRunEpisode:
     def test_feedback_memo_stays_in_its_bytes_through_an_episode(self, n, block, monkeypatch):
         # K = 100: half the memo's entries at N = 10, K // 8 at N = 14. The
         # prefetched rows are views of their block: count each array the
-        # memo keeps alive once, as it is before every filter step
+        # memo keeps alive once, as it is before every filter step. Slots that
+        # repeat a stored row start no block: at N = 10 three fills cover the
+        # 97 slots, since slot 64 repeats slot 35's row
         cfg = small_config(n_processes=n, n_devices=100, horizon=3 * block + 1)
-        kept, real = [], engine_mod.forward_update
+        kept, seen, real = [], [], engine_mod.forward_update
 
         def measured(belief, obs, config):
             arrays = (f if f.base is None else f.base for _, _, f in belief._evidence.values())
             kept.append(sum({id(a): a.nbytes for a in arrays}.values()))
+            seen.append(obs.tobytes())
             return real(belief, obs, config)
 
         monkeypatch.setattr(engine_mod, "forward_update", measured)
         fills = counting_fills(monkeypatch)
         run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
-        assert [filled for _, filled in fills] == [block, block, block, 1]
+        assert [rows for _, rows in fills] == block_fills(seen, block)
+        assert fills[0] == (cfg.horizon, block)
         assert len(kept) == cfg.horizon
         assert max(kept) == block * cfg.n_states * 8 <= belief_mod._evidence_bytes(n, 100)
 
@@ -310,7 +319,7 @@ class TestRunEpisode:
             monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
         fills = counting_fills(monkeypatch)
         res = run_episode(cfg, ["fu_feedback"], rng_stream(0, 0, "episode"))
-        assert [filled for _, filled in fills] == [0, 0, 0]
+        assert fills == []
         assert res.series["fu_feedback"]["regret_slot"].shape == (3,)
 
     @pytest.mark.parametrize("n", [25, 30])
@@ -507,6 +516,64 @@ class TestGrantMemo:
         # each tied visit recomputed its grants; each untied state once
         assert calls["grant"] == sum(tied_visits.values()) + len(untied_keys)
         assert calls["forecast"] == calls["grant"]  # one forecast per grant call
+
+
+class TestTrackerStepsAgainstEnumeration:
+    """Each tracker step the engine takes, as _run_policy schedules it (block
+    fills at chunk boundaries, memo hits across fills, the refill after a
+    reset), against path enumeration."""
+
+    SEEDS = range(6)
+
+    def steps(self, seed, policy, mode, monkeypatch, fail_at=None):
+        """The instance of `seed`, and each forward_update call's observation
+        with the belief it returned: None for the call numbered fail_at, which
+        raises. Chunks are 2 or 3 slots, and (2^N)^T <= 2^18."""
+        rng = rng_stream(seed, 0, "engine-enumeration")
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        cfg = sample_scenario(n, k, max(1, k // 2), 18 // n, 0.5, rng, seed=seed)
+        monkeypatch.setattr(engine_mod, "_BLOCK_ENTRIES", (2 + seed % 2) * (n + k))
+        steps, real = [], engine_mod.forward_update
+
+        def recorded(belief, obs, config):
+            updated = None if len(steps) == fail_at else real(belief, obs, config)
+            steps.append((obs.copy(), updated))
+            if updated is None:
+                raise EvidenceContradictionError("forced")
+            return updated
+
+        monkeypatch.setattr(engine_mod, "forward_update", recorded)
+        run_episode(cfg, [policy], rng_stream(seed, 0, "episode"), belief_mode=mode)
+        assert len(steps) == cfg.horizon
+        return cfg, steps
+
+    def assert_matches_enumeration(self, cfg, steps):
+        """Each step after the last reset against enumeration from the prior."""
+        since = []
+        for obs, belief in steps:
+            if belief is None:
+                since = []
+                continue
+            since.append(obs)
+            log_joint = enumerate_forward_log_joint(cfg, since)
+            log_evidence = np.logaddexp.reduce(log_joint)
+            assert abs(belief.log_scale - log_evidence) <= 1e-9
+            np.testing.assert_allclose(
+                belief.weights, np.exp(log_joint - log_evidence), rtol=0, atol=1e-9
+            )
+
+    @pytest.mark.parametrize("mode", ["map_state", "marginal"])
+    @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
+    def test_every_step_matches_path_enumeration(self, policy, mode, monkeypatch):
+        for seed in self.SEEDS:
+            self.assert_matches_enumeration(*self.steps(seed, policy, mode, monkeypatch))
+
+    @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
+    def test_steps_after_a_reset_match_enumeration_from_the_prior(self, policy, monkeypatch):
+        for seed in self.SEEDS:
+            cfg, steps = self.steps(seed, policy, "map_state", monkeypatch, fail_at=1)
+            assert steps[1][1] is None
+            self.assert_matches_enumeration(cfg, steps)
 
 
 class TestRunMonteCarlo:

@@ -106,6 +106,15 @@ def test_full_feedback_through_the_block_fill_matches_path_enumeration(instance)
         assert max(forward_filter_gaps(*instance)) <= 1e-9
 
 
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(st.integers(20_000, 30_000), st.sampled_from([0.5, 0.0]))
+def test_large_k_filter_matches_path_enumeration(seed, hidden):
+    # up to 200 devices, censored or fully observed (then every slot goes
+    # through prefetch_evidence's block); seeds apart from the small family's
+    config, observations = random_filtering_instance(seed, 3, 200, 4, hidden=hidden)
+    assert max(forward_filter_gaps(config, observations)) <= 1e-9
+
+
 @st.composite
 def edge_scenarios(draw, moving=False, max_n=4, max_k=5):
     """Scenario whose eps0, eps1 and q entries are each exactly 0, exactly 1
