@@ -17,13 +17,14 @@ formula per term: the active devices' rows of log P(active | state), summed
 in index order, and the silent devices' term, added in place from
 half-width tables.
 
-A censored tracker sees the same few observations again and again, so each
-tracker keeps the evidence factor of its recent observations in a small LRU
-memo (512 KiB of factors) and multiplies a repeat by the stored array. Full
-feedback's evidence does not depend on the grants, so it is put in that memo
-a block of slots ahead, one GEMM over the log-activation table per block: at
-least an eighth of the devices' count of slots, so each slot reads at most
-eight table rows' worth of it.
+A censored tracker sees the same few observations again and again. An
+evidence factor depends on the observation and the scenario alone, so the
+config keeps those of recent observations in a small LRU memo (512 KiB of
+factors) that all its trackers share, and a repeat is multiplied by the
+stored array. Full feedback's evidence does not depend on the grants, so it
+is put in that memo a block of slots ahead, one GEMM over the
+log-activation table per block: at least an eighth of the devices' count of
+slots, so each slot reads at most eight table rows' worth of it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +58,7 @@ _TABLE_MAX_ENTRIES = 1 << 23
 # Real evidence (-745 per device at worst) never sums down to it.
 _LOG_FLOOR = -1e300
 
-# Bytes of evidence factors one tracker's memo holds: 64 at N = 10, 4 at
+# Bytes of evidence factors a config's memo holds: 64 at N = 10, 4 at
 # N = 14, none past N = 16. A prefetched block has at least half as many rows
 # (32 at N = 10) and at least K // 8 (12 at N = 14 with K = 100; see
 # _block_rows).
@@ -81,13 +82,11 @@ class BeliefState:
 
     weights[s] is P(state = s | evidence so far); log_scale accumulates the
     log of every discarded normalizer, so the unnormalized forward variable
-    is weights * exp(log_scale). _evidence is the tracker's evidence memo
-    (see forward_update), handed on from state to state.
+    is weights * exp(log_scale).
     """
 
     weights: np.ndarray
     log_scale: float = 0.0
-    _evidence: OrderedDict = field(default_factory=OrderedDict, compare=False, repr=False)
 
 
 def entropy(belief: BeliefState) -> float:
@@ -104,8 +103,7 @@ def _check_capacity(n_processes: int) -> None:
 
 
 def init_belief(config: ScenarioConfig) -> BeliefState:
-    """Stationary prior: the product of per-process stationary marginals,
-    with an empty evidence memo."""
+    """Stationary prior: the product of per-process stationary marginals."""
     _check_capacity(config.n_processes)
     pi = stationary_on_probs(config)
     w = _state_products(1.0 - pi, pi)
@@ -228,10 +226,10 @@ def _block_rows(n: int, k: int) -> int:
 
 
 def _evidence_bytes(n: int, k: int) -> int:
-    """Peak bytes of one tracker's evidence factors: its memo's
+    """Peak bytes of a config's evidence factors: its memo's
     _EVIDENCE_MEMO_BYTES, or a prefetched block when that is more. The memo
     is emptied before each fill, and the block builds no temporary of its
-    size."""
+    size. Trackers run one at a time, so one memo serves them all."""
     return max(_EVIDENCE_MEMO_BYTES, 8 * (1 << n) * _block_rows(n, k))
 
 
@@ -239,8 +237,8 @@ def _filter_bytes(n: int, k: int) -> int:
     """Peak bytes of one tracker at N processes and K devices: four 2^N-float
     vectors (old and new weights, the log-evidence and one temporary), the
     evidence and forecast half tables, the (2^N, K) log-activation table
-    when _log_evidence caches it, and the evidence memo or prefetched block
-    (see _evidence_bytes)."""
+    when _log_evidence caches it, and the config's evidence memo or
+    prefetched block (see _evidence_bytes)."""
     states, h = 1 << n, n // 2
     table = states * k if states * k <= _TABLE_MAX_ENTRIES else 0
     halves = 2 * ((1 << h) + (1 << (n - h))) * k
@@ -295,14 +293,14 @@ def forward_update(
     fully-unobserved slot is returned as the bare prediction, bit for bit.
 
     The factor exp(le - m) and m depend only on the observation (an int8
-    vector) and the config, so the tracker keeps them, keyed by obs's bytes,
-    in an LRU memo of _EVIDENCE_MEMO_BYTES that the returned state carries
-    on. A repeated observation skips the evidence, its max and its exp, and
-    multiplies by the stored array itself, made read-only, so the result is
-    bit for bit what a fresh tracker computes. Only observations that passed
-    the contradiction check are stored, and only for the config that
-    computed them. prefetch_evidence fills the memo ahead of full feedback;
-    every hit passes the contradiction check again.
+    vector) and the config, so they are kept as (m, factor), keyed by obs's
+    bytes, in the config's LRU memo of _EVIDENCE_MEMO_BYTES
+    (config.cached("belief.evidence_memo")). A repeated observation skips
+    the evidence, its max and its exp, and multiplies by the stored array
+    itself, made read-only, so the result is bit for bit what a tracker with
+    an empty memo computes. Only observations that passed the contradiction
+    check are stored. prefetch_evidence fills the memo ahead of full
+    feedback; every hit passes the contradiction check again.
 
     Raises EvidenceContradictionError when the evidence has zero probability
     under every state, which cannot happen for observations generated by the
@@ -312,18 +310,18 @@ def forward_update(
         raise ValueError(f"observation must have shape ({config.n_devices},), got {obs.shape}")
     _check_belief(belief, config)
     w = _predict(belief.weights, config)
-    memo, key = belief._evidence, obs.tobytes()
+    memo, key = config.cached("belief.evidence_memo", OrderedDict), obs.tobytes()
     entry = memo.get(key)
-    if entry is not None and entry[0] is config:
+    if entry is not None:
         memo.move_to_end(key)
-        _, m, factor = entry
+        m, factor = entry
     else:
         le = _log_evidence(obs, config)
         if le is None:
-            return BeliefState(w, belief.log_scale, memo)
+            return BeliefState(w, belief.log_scale)
         m = float(le.max())
         le -= m
-        factor, entry = np.exp(le, out=le), None
+        factor = np.exp(le, out=le)
     w *= factor
     total = float(w.sum())
     if m <= _LOG_FLOOR or total <= 0.0:
@@ -333,10 +331,10 @@ def forward_update(
     w /= total
     if entry is None and w.nbytes <= _EVIDENCE_MEMO_BYTES:
         factor.flags.writeable = False
-        memo[key] = (config, m, factor)
+        memo[key] = (m, factor)
         if len(memo) * w.nbytes > _EVIDENCE_MEMO_BYTES:
             memo.popitem(last=False)
-    return BeliefState(w, belief.log_scale + math.log(total) + m, memo)
+    return BeliefState(w, belief.log_scale + math.log(total) + m)
 
 
 def _block_log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -351,24 +349,23 @@ def _block_log_evidence(obs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     return le
 
 
-def prefetch_evidence(
-    belief: BeliefState, observations: np.ndarray, config: ScenarioConfig
-) -> int:
-    """Put the evidence of the coming fully observed slots in the tracker's memo.
+def prefetch_evidence(observations: np.ndarray, config: ScenarioConfig) -> int:
+    """Put the evidence of the coming fully observed slots in the config's memo.
 
     `observations` (M, K) start at the current slot. When its row is not yet
-    stored for this config, the memo is emptied and the leading rows that
-    observe every device, at most _block_rows of them, are stored as
-    forward_update stores a miss: (config, m, factor) under the row's int8
-    bytes, read-only, from one _block_log_evidence, row max, shift and exp.
-    A row impossible under every state (m at _LOG_FLOOR) is not stored. The
-    block is then all the factors alive (_evidence_bytes counts it); its
-    C * K floats are bounded by M and by _block_rows. Returns the rows
-    covered: 0 when the current row is stored or leaves a device unobserved,
-    without a cached table, or when the block would be under two rows.
+    in the memo (a one-byte row, int8 or the engine's uint8 activity, is
+    looked up by its own bytes), the memo is emptied and the leading rows
+    that observe every device, at most _block_rows of them, are stored as
+    forward_update stores a miss: (m, factor) under the row's int8 bytes,
+    read-only, from one _block_log_evidence, row max, shift and exp. A row
+    impossible under every state (m at _LOG_FLOOR) is not stored. The block
+    is then all the factors alive (_evidence_bytes counts it); its C * K
+    floats are bounded by M and by _block_rows. Returns the rows covered: 0
+    when the current row is stored or leaves a device unobserved, without a
+    cached table, or when the block would be under two rows.
     """
-    entry = belief._evidence.get(np.asarray(observations[0], dtype=np.int8).tobytes())
-    if entry is not None and entry[0] is config:
+    memo, first = config.cached("belief.evidence_memo", OrderedDict), observations[0]
+    if (first if first.itemsize == 1 else first.astype(np.int8)).tobytes() in memo:
         return 0
     block = _block_rows(config.n_processes, config.n_devices)
     if not block:
@@ -377,7 +374,7 @@ def prefetch_evidence(
     c = int(np.logical_and.accumulate((obs != UNOBSERVED).all(axis=1)).sum())
     if not c:
         return 0
-    obs, memo = obs[:c], belief._evidence
+    obs = obs[:c]
     memo.clear()
     le = _block_log_evidence(obs, config)
     m = le.max(axis=1)
@@ -386,7 +383,7 @@ def prefetch_evidence(
     le.flags.writeable = False
     for row, row_max, factor in zip(obs, m.tolist(), le):
         if row_max > _LOG_FLOOR:
-            memo[row.tobytes()] = (config, row_max, factor)
+            memo[row.tobytes()] = (row_max, factor)
     return c
 
 

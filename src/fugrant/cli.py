@@ -48,10 +48,6 @@ DEFAULT_RUNS = 20
 CSV_HEADER = "t,policy,run_stat," + ",".join(SERIES)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file beside `path`; an OSError names `path`,
     the file the user asked for, not the temporary one."""
@@ -78,12 +74,15 @@ def _slot_range(result: AggregateResult, emit: str) -> range:
 
 
 def render_csv(result: AggregateResult, emit: str = "per-slot") -> str:
-    lines = [CSV_HEADER]
-    for t in _slot_range(result, emit):
-        for policy in result.policies:
-            for stat, table in (("mean", result.mean), ("std", result.std)):
-                values = (_fmt(table[policy][s][t - 1]) for s in SERIES)
-                lines.append(f"{t},{policy},{stat}," + ",".join(values))
+    slots = _slot_range(result, emit)
+    window = slice(slots.start - 1, slots.stop - 1)
+    line = "%d,%s,%s" + ",%.12g" * len(SERIES)
+    blocks = []  # each (policy, stat) block's lines: one %-format per row of its floats
+    for policy in result.policies:
+        for stat, table in (("mean", result.mean), ("std", result.std)):
+            columns = (table[policy][s][window].tolist() for s in SERIES)
+            blocks.append([line % (t, policy, stat, *row) for t, row in zip(slots, zip(*columns))])
+    lines = [CSV_HEADER] + [text for group in zip(*blocks) for text in group]
     return "\n".join(lines) + "\n"
 
 
@@ -146,7 +145,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"N={config.n_processes} K={config.n_devices} L={config.n_slots}")
     need, _ = _memory_need(config, POLICIES, runs=1)
     print(f"memory: {need} bytes for one run of all five policies")
-    print("stationary On-probabilities: " + " ".join(_fmt(p) for p in pi))
+    print("stationary On-probabilities: " + " ".join("%.12g" % p for p in pi))
     return 0
 
 

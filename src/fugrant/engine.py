@@ -166,9 +166,9 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     by slot, from information through the previous slot, into the chunk's
     grant rows, reusing a state's grant row whenever no tie lets ages change
     it. Before each fu_feedback step, belief.prefetch_evidence is offered the
-    rest of the chunk and fills the tracker's memo a block ahead whenever the
-    slot's evidence is not stored, as after a reset. Each chunk is then
-    scored in one fold.
+    rest of the chunk and fills the config's evidence memo a block ahead
+    whenever the slot's evidence is not stored; a reset keeps the memo.
+    Each chunk is then scored in one fold.
     """
     k, l, horizon = config.n_devices, config.n_slots, config.horizon
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
@@ -207,7 +207,7 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
                         obs = observe_limited(row, acts[i])
                     else:
                         obs = observe_feedback(acts[i])
-                        prefetch_evidence(belief, acts[i:], config)
+                        prefetch_evidence(acts[i:], config)
                     try:
                         belief = forward_update(belief, obs, config)
                     except EvidenceContradictionError:

@@ -144,14 +144,14 @@ def forward_filter_gaps(
     over the normalized weights and the unnormalized joint (0 on both sides
     at large K), and between log_scale and the reference log-evidence.
 
-    The filter runs as the engine runs it: before each step
-    `belief.prefetch_evidence` is offered the observations from that slot
-    on, as fu_feedback's tracker is."""
+    The filter runs as the engine runs it, on the config's evidence memo:
+    before each step `belief.prefetch_evidence` is offered the observations
+    from that slot on, as fu_feedback's tracker is."""
     state_belief = belief_mod.init_belief(config)
     gaps = np.zeros(2)
     ahead = np.array(observations)
     for step, obs in enumerate(ahead):
-        belief_mod.prefetch_evidence(state_belief, ahead[step:], config)
+        belief_mod.prefetch_evidence(ahead[step:], config)
         state_belief = belief_mod.forward_update(state_belief, obs, config)
         log_joint = enumerate_forward_log_joint(config, observations[: step + 1])
         log_evidence = np.logaddexp.reduce(log_joint)

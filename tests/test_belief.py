@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def make_scenario(n=3, k=4, seed=0, **kwargs):
 
 def all_unobserved(k):
     return np.full(k, UNOBSERVED, dtype=np.int8)
+
+
+def evidence_memo(config):
+    """The config's evidence memo: observation bytes -> (m, factor)."""
+    return config.cached("belief.evidence_memo", OrderedDict)
 
 
 def counting_evidence(monkeypatch):
@@ -211,7 +217,10 @@ class TestEmission:
         belief = forward_update(init_belief(cfg), obs, cfg)
         assert belief.weights.sum() == pytest.approx(1.0)
         limit = 2 ** ((cfg.n_processes + 1) // 2) * cfg.n_devices
-        cached = [a for v in cfg._cache.values() for a in (v if isinstance(v, tuple) else (v,))]
+        # a factor of 2^20 floats is past the memo's bytes, so none is stored
+        assert not evidence_memo(cfg)
+        tables = (v for key, v in cfg._cache.items() if key != "belief.evidence_memo")
+        cached = [a for v in tables for a in (v if isinstance(v, tuple) else (v,))]
         assert cached and max(a.size for a in cached) <= limit
 
 
@@ -370,7 +379,7 @@ class TestForwardUpdate:
 
 
 class TestEvidenceMemo:
-    """A tracker reuses the evidence factor of an observation it has seen."""
+    """The config's memo reuses the evidence factor of an observation seen before."""
 
     def limited_observations(self, cfg, count, seed=0):
         # distinct censored observations: L granted devices, each seen active or silent
@@ -389,24 +398,27 @@ class TestEvidenceMemo:
         cfg = make_scenario(n=10, k=20, seed=3)
         o1, o2 = self.limited_observations(cfg, 2)
         sequence = [o1, o2, o1, o1, o2, all_unobserved(cfg.n_devices), o1]
+        fresh_cfg = dataclasses.replace(cfg)  # the same scenario with a memo of its own
         memo, fresh = init_belief(cfg), init_belief(cfg)
         calls = counting_evidence(monkeypatch)
         for obs in sequence:
             memo = forward_update(memo, obs, cfg)
-            fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
+            evidence_memo(fresh_cfg).clear()
+            fresh = forward_update(fresh, obs, fresh_cfg)
             np.testing.assert_array_equal(memo.weights, fresh.weights)
             assert memo.log_scale == fresh.log_scale
         # the memoized tracker evaluated o1, o2 and the blind slot once each
         assert len(calls) == 3 + len(sequence)
-        assert list(memo._evidence) == [o2.tobytes(), o1.tobytes()]
+        assert list(evidence_memo(cfg)) == [o2.tobytes(), o1.tobytes()]
 
     def test_hits_multiply_by_the_stored_read_only_factor(self):
         cfg = make_scenario(n=6, k=8, seed=1)
         (obs,) = self.limited_observations(cfg, 1)
         belief = forward_update(init_belief(cfg), obs, cfg)
-        ((stored_cfg, m, factor),) = belief._evidence.values()
+        memo = evidence_memo(cfg)
+        ((m, factor),) = memo.values()
         le = _log_evidence(obs, cfg)
-        assert stored_cfg is cfg and m == le.max()
+        assert m == le.max()
         np.testing.assert_array_equal(factor, np.exp(le - m))
         kept = factor.copy()
         first, second = (forward_update(belief, obs, cfg) for _ in range(2))
@@ -414,26 +426,35 @@ class TestEvidenceMemo:
         assert first.log_scale == second.log_scale
         assert not factor.flags.writeable
         np.testing.assert_array_equal(factor, kept)
-        assert first._evidence is belief._evidence and len(belief._evidence) == 1
+        assert evidence_memo(cfg) is memo and len(memo) == 1
 
-    def test_a_reset_or_a_new_state_starts_empty(self):
+    def test_a_reset_keeps_the_memo_and_matches_a_fresh_tracker(self, monkeypatch):
         cfg = make_scenario(n=3, k=4, seed=2)
         obs = np.array([1, 0, -1, -1], dtype=np.int8)
-        belief = forward_update(init_belief(cfg), obs, cfg)
-        assert len(belief._evidence) == 1
-        assert not init_belief(cfg)._evidence
-        assert not BeliefState(belief.weights, belief.log_scale)._evidence
+        forward_update(init_belief(cfg), obs, cfg)
+        calls = counting_evidence(monkeypatch)
+        reset = forward_update(init_belief(cfg), obs, cfg)  # a hit on the kept factor
+        assert calls == [] and list(evidence_memo(cfg)) == [obs.tobytes()]
+        fresh_cfg = dataclasses.replace(cfg)
+        fresh = forward_update(init_belief(fresh_cfg), obs, fresh_cfg)
+        assert calls == [obs.tobytes()]
+        np.testing.assert_array_equal(reset.weights, fresh.weights)
+        assert reset.log_scale == fresh.log_scale
 
-    def test_factors_of_another_config_are_not_reused(self):
+    def test_another_config_has_its_own_memo(self):
         cfg = make_scenario(n=3, k=4, seed=2)
-        other = dataclasses.replace(cfg, q=np.flipud(cfg.q))
         obs = np.array([1, 0, -1, 1], dtype=np.int8)
         belief = forward_update(init_belief(cfg), obs, cfg)
-        shared = forward_update(belief, obs, other)
-        fresh = forward_update(BeliefState(belief.weights, belief.log_scale), obs, other)
-        np.testing.assert_array_equal(shared.weights, fresh.weights)
-        assert shared.log_scale == fresh.log_scale
-        assert next(iter(shared._evidence.values()))[0] is other
+        ((m, factor),) = evidence_memo(cfg).values()
+        for other in (dataclasses.replace(cfg), dataclasses.replace(cfg, q=np.flipud(cfg.q))):
+            assert not evidence_memo(other)
+            forward_update(belief, obs, other)
+            ((other_m, other_factor),) = evidence_memo(other).values()
+            le = _log_evidence(obs, other)
+            assert other_m == le.max() and other_factor is not factor
+            np.testing.assert_array_equal(other_factor, np.exp(le - other_m))
+        assert not np.array_equal(other_factor, factor)  # the flipped q's factor differs
+        assert list(evidence_memo(cfg).values()) == [(m, factor)]
 
     @pytest.mark.parametrize("n, entries", [(10, 64), (14, 4)])
     def test_bytes_stay_under_the_cap_and_the_oldest_goes_first(self, n, entries):
@@ -445,12 +466,12 @@ class TestEvidenceMemo:
         belief = forward_update(belief, observations[0], cfg)  # a hit: now the newest
         for obs in observations[entries:]:
             belief = forward_update(belief, obs, cfg)
-            factors = [f for _, _, f in belief._evidence.values()]
+            factors = [f for _, f in evidence_memo(cfg).values()]
             assert sum(f.nbytes for f in factors) <= _EVIDENCE_MEMO_BYTES
-        assert len(belief._evidence) == entries
+        assert len(evidence_memo(cfg)) == entries
         # o1 and o2 were evicted; the hit moved o0 behind the other survivors
         expected = [*observations[3:entries], observations[0], *observations[entries:]]
-        assert list(belief._evidence) == [o.tobytes() for o in expected]
+        assert list(evidence_memo(cfg)) == [o.tobytes() for o in expected]
 
     def test_contradicted_observations_are_never_stored(self):
         # the same instances as test_contradiction_raises and
@@ -463,7 +484,7 @@ class TestEvidenceMemo:
         belief = BeliefState(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
         with pytest.raises(EvidenceContradictionError):
             forward_update(belief, np.array([OBSERVED_ACTIVE, UNOBSERVED], np.int8), cfg)
-        assert not belief._evidence
+        assert not evidence_memo(cfg)
         cfg = dataclasses.replace(
             make_scenario(n=3, k=4, seed=8),
             q=np.array([[0.5, 0.0, 0.2, 0.9], [0.3, 0.0, 0.7, 0.1], [0.6, 0.0, 0.4, 0.8]]),
@@ -472,11 +493,11 @@ class TestEvidenceMemo:
         obs = np.array([OBSERVED_ACTIVE, OBSERVED_ACTIVE, OBSERVED_SILENT, UNOBSERVED], np.int8)
         with pytest.raises(EvidenceContradictionError):
             forward_update(belief, obs, cfg)
-        assert not belief._evidence
+        assert not evidence_memo(cfg)
 
 
 class TestPrefetchEvidence:
-    """Full feedback's evidence is put in the tracker's memo a block at a time."""
+    """Full feedback's evidence is put in the config's memo a block at a time."""
 
     def feedback(self, cfg, slots, seed=0):
         rng = np.random.default_rng(seed)
@@ -494,14 +515,16 @@ class TestPrefetchEvidence:
     def test_updates_stay_within_1e12_of_a_per_slot_tracker(self, n, k, slots, rows, monkeypatch):
         cfg = make_scenario(n=n, k=k, seed=4)
         acts = self.feedback(cfg, slots)
+        fresh_cfg = dataclasses.replace(cfg)  # the per-slot tracker's memo, emptied each slot
         calls = counting_evidence(monkeypatch)
         block, fresh = init_belief(cfg), init_belief(cfg)
         fills = []
         for t, row in enumerate(acts):
-            fills.append(prefetch_evidence(block, acts[t:], cfg))
+            fills.append(prefetch_evidence(acts[t:], cfg))
             obs = observe_feedback(row)
             block = forward_update(block, obs, cfg)
-            fresh = forward_update(BeliefState(fresh.weights, fresh.log_scale), obs, cfg)
+            evidence_memo(fresh_cfg).clear()
+            fresh = forward_update(fresh, obs, fresh_cfg)
             np.testing.assert_allclose(block.weights, fresh.weights, rtol=1e-12, atol=0)
             assert block.log_scale == pytest.approx(fresh.log_scale, rel=1e-12, abs=0)
         assert [f for f in fills if f] == block_fills([a.tobytes() for a in acts], rows)
@@ -532,40 +555,41 @@ class TestPrefetchEvidence:
         )
         belief = BeliefState(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
         obs = np.array([OBSERVED_ACTIVE, OBSERVED_SILENT], dtype=np.int8)
-        assert prefetch_evidence(belief, obs[None], cfg) == 1
-        assert obs.tobytes() in belief._evidence
+        assert prefetch_evidence(obs[None], cfg) == 1
+        assert obs.tobytes() in evidence_memo(cfg)
         with pytest.raises(EvidenceContradictionError):
             forward_update(belief, obs, cfg)
 
     def test_only_leading_fully_observed_rows_are_filled(self):
         cfg = make_scenario(n=3, k=4, seed=2)
         rows = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [1, -1, 0, 0], [0, 1, 0, 0]], np.int8)
-        belief = forward_update(init_belief(cfg), rows[2], cfg)
-        assert prefetch_evidence(belief, rows[2:], cfg) == 0
-        assert list(belief._evidence) == [rows[2].tobytes()]  # left as it was
-        assert prefetch_evidence(belief, rows, cfg) == 2
-        assert list(belief._evidence) == [rows[0].tobytes(), rows[1].tobytes()]
-        assert not any(f.flags.writeable for _, _, f in belief._evidence.values())
+        forward_update(init_belief(cfg), rows[2], cfg)
+        assert prefetch_evidence(rows[2:], cfg) == 0
+        assert list(evidence_memo(cfg)) == [rows[2].tobytes()]  # left as it was
+        assert prefetch_evidence(rows, cfg) == 2
+        assert list(evidence_memo(cfg)) == [rows[0].tobytes(), rows[1].tobytes()]
+        assert not any(f.flags.writeable for _, f in evidence_memo(cfg).values())
 
     def test_a_stored_row_starts_nothing_and_a_miss_refills(self, monkeypatch):
         cfg = make_scenario(n=3, k=4, seed=2)
         rows = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 0]], np.uint8)
-        belief = init_belief(cfg)
-        assert prefetch_evidence(belief, rows[:2], cfg) == 2
-        stored = list(belief._evidence.items())
+        assert prefetch_evidence(rows[:2], cfg) == 2
+        stored = list(evidence_memo(cfg).items())
         blocks = []
         monkeypatch.setattr(
             "fugrant.belief._block_log_evidence",
             lambda obs, c: blocks.append(len(obs)) or _block_log_evidence(obs, c),
         )
-        # the engine offers its activity rows (uint8); the memo holds int8 keys
-        assert prefetch_evidence(belief, rows[1:], cfg) == 0
-        assert blocks == [] and list(belief._evidence.items()) == stored
-        assert prefetch_evidence(belief, rows[2:], cfg) == 2
+        # the engine offers its activity rows (uint8), looked up by their own
+        # bytes; a wider row is looked up as int8; the memo holds int8 keys
+        assert prefetch_evidence(rows[1:], cfg) == 0
+        assert prefetch_evidence(rows[1:].astype(np.int64), cfg) == 0
+        assert blocks == [] and list(evidence_memo(cfg).items()) == stored
+        assert prefetch_evidence(rows[2:], cfg) == 2
         assert blocks == [2]
-        assert list(belief._evidence) == [rows[2].tobytes(), rows[3].tobytes()]
-        # a row stored for another config is a miss, as it is for forward_update
-        assert prefetch_evidence(belief, rows[2:3], dataclasses.replace(cfg)) == 1
+        assert list(evidence_memo(cfg)) == [rows[2].tobytes(), rows[3].tobytes()]
+        # another config has its own memo, so the row is a miss there
+        assert prefetch_evidence(rows[2:3], dataclasses.replace(cfg)) == 1
         assert blocks == [2, 1]
 
     @pytest.mark.parametrize("n, table", [(15, True), (3, False)])
@@ -573,9 +597,8 @@ class TestPrefetchEvidence:
         cfg = make_scenario(n=n, k=4, seed=n)
         if not table:
             monkeypatch.setattr("fugrant.belief._TABLE_MAX_ENTRIES", 0)
-        belief = init_belief(cfg)
-        assert prefetch_evidence(belief, np.ones((4, 4), np.int8), cfg) == 0
-        assert not belief._evidence
+        assert prefetch_evidence(np.ones((4, 4), np.int8), cfg) == 0
+        assert not evidence_memo(cfg)
 
 
 class TestMapState:

@@ -2,17 +2,19 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fugrant
 from fugrant.cli import CSV_HEADER, PRESETS, main, render_csv, render_json
-from fugrant.engine import SERIES, run_monte_carlo
+from fugrant.engine import SERIES, AggregateResult, run_monte_carlo
 from fugrant.model import ConfigurationError, ScenarioConfig, ScenarioTemplate
 from fugrant.policies import POLICIES
 
@@ -344,6 +346,30 @@ class TestRender:
             for stat in ("mean", "std")
         ]
         assert rows == expected
+
+    @pytest.mark.parametrize("emit", ["per-slot", "summary"])
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.0**53, math.nan, math.inf, -math.inf], []],
+        ids=["edge-floats", "horizon-0"],
+    )
+    def test_csv_values_read_as_format_12g(self, emit, values):
+        # each series of each (policy, stat) block is a rotation of `values`,
+        # so every value lands in every column and block
+        horizon, policies = len(values), ("ra", "fu_feedback")
+        tables = (np.roll(np.array(values, dtype=float), j) for j in range(4 * len(SERIES)))
+        mean, std = (
+            {p: {s: next(tables) for s in SERIES} for p in policies} for _ in range(2)
+        )
+        result = AggregateResult(runs=1, horizon=horizon, policies=policies, mean=mean, std=std)
+        slots = [horizon] if emit == "summary" and horizon else range(1, horizon + 1)
+        expected = [CSV_HEADER] + [
+            f"{t},{p},{stat}," + ",".join(format(float(table[p][s][t - 1]), ".12g") for s in SERIES)
+            for t in slots
+            for p in policies
+            for stat, table in (("mean", mean), ("std", std))
+        ]
+        assert render_csv(result, emit) == "\n".join(expected) + "\n"
 
 
 class TestValidate:

@@ -1,12 +1,17 @@
 """Episode engine and Monte-Carlo aggregation tests."""
 
+import dataclasses
 import hashlib
 import logging
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from closed_form import block_fills
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_properties import MAX_EXAMPLES, edge_scenarios
 
 import fugrant.belief as belief_mod
 import fugrant.engine as engine_mod
@@ -67,8 +72,8 @@ def counting_fills(monkeypatch):
     makes that fills the memo; a call that starts no block is left out."""
     fills, real = [], engine_mod.prefetch_evidence
 
-    def counted(belief, observations, config):
-        rows = real(belief, observations, config)
+    def counted(observations, config):
+        rows = real(observations, config)
         if rows:
             fills.append((len(observations), rows))
         return rows
@@ -297,7 +302,8 @@ class TestRunEpisode:
         kept, seen, real = [], [], engine_mod.forward_update
 
         def measured(belief, obs, config):
-            arrays = (f if f.base is None else f.base for _, _, f in belief._evidence.values())
+            memo = config.cached("belief.evidence_memo", OrderedDict)
+            arrays = (f if f.base is None else f.base for _, f in memo.values())
             kept.append(sum({id(a): a.nbytes for a in arrays}.values()))
             seen.append(obs.tobytes())
             return real(belief, obs, config)
@@ -419,9 +425,9 @@ class TestRunEpisode:
         assert isinstance(res, EpisodeResult)
         assert any("reset" in r.message for r in caplog.records)
         if policy == "fu_feedback":
-            # the reset in slot 1 drops the block filled at slot 0 (all 5
-            # slots); the tracker refills from slot 2, and every slot hits
-            assert fills == [(5, 5), (3, 3)]
+            # the reset in slot 1 keeps the config's memo, so the block
+            # filled at slot 0 (all 5 slots) serves every slot: no refill
+            assert fills == [(5, 5)]
             assert evaluated == []
         else:
             assert fills == [] and evaluated
@@ -520,19 +526,23 @@ class TestGrantMemo:
 
 class TestTrackerStepsAgainstEnumeration:
     """Each tracker step the engine takes, as _run_policy schedules it (block
-    fills at chunk boundaries, memo hits across fills, the refill after a
-    reset), against path enumeration."""
+    fills at chunk boundaries, memo hits across fills and across a reset),
+    against path enumeration."""
 
     SEEDS = range(6)
 
-    def steps(self, seed, policy, mode, monkeypatch, fail_at=None):
-        """The instance of `seed`, and each forward_update call's observation
-        with the belief it returned: None for the call numbered fail_at, which
-        raises. Chunks are 2 or 3 slots, and (2^N)^T <= 2^18."""
+    def instance(self, seed):
+        """The random instance of `seed`, with (2^N)^T <= 2^18."""
         rng = rng_stream(seed, 0, "engine-enumeration")
         n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        cfg = sample_scenario(n, k, max(1, k // 2), 18 // n, 0.5, rng, seed=seed)
-        monkeypatch.setattr(engine_mod, "_BLOCK_ENTRIES", (2 + seed % 2) * (n + k))
+        return sample_scenario(n, k, max(1, k // 2), 18 // n, 0.5, rng, seed=seed)
+
+    def steps(self, cfg, seed, policy, mode, patch, fail_at=None):
+        """Each forward_update call of an episode of `cfg` on the stream of
+        `seed`: its observation with the belief it returned, None for the call
+        numbered fail_at, which raises. Chunks are 2 or 3 slots."""
+        n, k = cfg.n_processes, cfg.n_devices
+        patch.setattr(engine_mod, "_BLOCK_ENTRIES", (2 + seed % 2) * (n + k))
         steps, real = [], engine_mod.forward_update
 
         def recorded(belief, obs, config):
@@ -542,10 +552,10 @@ class TestTrackerStepsAgainstEnumeration:
                 raise EvidenceContradictionError("forced")
             return updated
 
-        monkeypatch.setattr(engine_mod, "forward_update", recorded)
+        patch.setattr(engine_mod, "forward_update", recorded)
         run_episode(cfg, [policy], rng_stream(seed, 0, "episode"), belief_mode=mode)
         assert len(steps) == cfg.horizon
-        return cfg, steps
+        return steps
 
     def assert_matches_enumeration(self, cfg, steps):
         """Each step after the last reset against enumeration from the prior."""
@@ -566,14 +576,28 @@ class TestTrackerStepsAgainstEnumeration:
     @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
     def test_every_step_matches_path_enumeration(self, policy, mode, monkeypatch):
         for seed in self.SEEDS:
-            self.assert_matches_enumeration(*self.steps(seed, policy, mode, monkeypatch))
+            cfg = self.instance(seed)
+            self.assert_matches_enumeration(cfg, self.steps(cfg, seed, policy, mode, monkeypatch))
 
     @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
     def test_steps_after_a_reset_match_enumeration_from_the_prior(self, policy, monkeypatch):
         for seed in self.SEEDS:
-            cfg, steps = self.steps(seed, policy, "map_state", monkeypatch, fail_at=1)
+            cfg = self.instance(seed)
+            steps = self.steps(cfg, seed, policy, "map_state", monkeypatch, fail_at=1)
             assert steps[1][1] is None
             self.assert_matches_enumeration(cfg, steps)
+
+    @pytest.mark.parametrize("mode", ["map_state", "marginal"])
+    @pytest.mark.parametrize("policy", ["fu_limited", "fu_feedback"])
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(edge_scenarios(moving=True, max_n=3, max_k=4), st.integers(0, 10_000))
+    def test_edge_value_steps_match_path_enumeration(self, policy, mode, scenario, seed):
+        # q of exactly 0 or 1 and eps of 0 through the engine's own schedule:
+        # log(0) terms must reach every step's weights as exact zeros
+        n, k = scenario.n_processes, scenario.n_devices
+        cfg = dataclasses.replace(scenario, n_slots=max(1, k // 2), horizon=12 // n)
+        with pytest.MonkeyPatch.context() as patch:
+            self.assert_matches_enumeration(cfg, self.steps(cfg, seed, policy, mode, patch))
 
 
 class TestRunMonteCarlo:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -184,10 +185,10 @@ def test_evidence_paths_agree(slot):
     per_slot = [_log_evidence(row, config) for row in rows]
     for block_row, slot_row in zip(_block_log_evidence(rows, config), per_slot):
         np.testing.assert_allclose(block_row, slot_row, rtol=1e-12, atol=1e-12)
-    belief = BeliefState(np.full(config.n_states, 1.0 / config.n_states))
-    assert prefetch_evidence(belief, rows, config) == len(rows)
+    assert prefetch_evidence(rows, config) == len(rows)
+    memo = config.cached("belief.evidence_memo", OrderedDict)
     for row, slot_row in zip(rows, per_slot):
-        assert (row.tobytes() in belief._evidence) == (slot_row.max() > _LOG_FLOOR)
+        assert (row.tobytes() in memo) == (slot_row.max() > _LOG_FLOOR)
 
 
 def slot_by_slot(state, config, uniforms):
