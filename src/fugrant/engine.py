@@ -17,14 +17,23 @@ state, or the tracker's MAP state in "map_state" mode), so each state's
 untied grant row is computed once per episode and reused. Scoring comes
 after the decisions and folds the chunk: every metric helper takes a leading
 slot axis, so a chunk costs a few array calls, not a few per slot.
+Monte-Carlo runs are independent episodes; run_monte_carlo forks one worker
+per usable CPU, and the workers write their runs' series into one shared
+array.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
+import math
 import os
+import threading
+import traceback
+from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -117,7 +126,7 @@ def _normalize_request(policies, belief_mode: str) -> tuple[str, ...]:
 
 
 def _memory_need(
-    scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0
+    scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0, workers: int = 1
 ) -> tuple[int, int]:
     """Bytes one run needs, and the chunk, in slots, that the draw and the
     scoring share. One episode E: the trajectory, (T + 1)(N + K) bytes;
@@ -127,19 +136,23 @@ def _memory_need(
     belief vectors, evidence tables, and evidence memo or fu_feedback's
     prefetched block, whichever is larger (see belief._filter_bytes); the
     block's observations take C * K floats of the chunk's uniforms, freed by
-    then. run_monte_carlo adds runs * S, then 2 * S: (runs + 2) * S + E
-    bytes, or E alone when runs = 0."""
+    then. run_monte_carlo runs `workers` episodes at once beside one shared
+    runs * S, then adds 2 * S: workers * E + (runs + 2) * S bytes, or E
+    alone when runs = 0."""
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
     chunk = max(1, _BLOCK_ENTRIES // (n + k))
     series = len(policies) * len(SERIES) * 8 * horizon
     memo_rows = min(horizon, 1 << n) if set(policies) - {"ra", "tdd"} else 0
     need = (horizon + 1) * (n + k) + series + min(horizon, chunk) * (n + k) * 8 + memo_rows * k
     need += _filter_bytes(n, k) if {"fu_limited", "fu_feedback"} & set(policies) else 0
+    need *= workers
     need += (runs + 2) * series if runs else 0  # run_monte_carlo's kept series, mean and std
     return need, chunk
 
 
-def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0) -> int:
+def _check_memory(
+    scenario: ScenarioConfig | ScenarioTemplate, policies, runs: int = 0, workers: int = 1
+) -> int:
     """The chunk of _memory_need; raises CapacityError naming N when a
     tracker runs past belief.MAX_PROCESSES, and ConfigurationError naming
     the horizon, `runs` when given, N and K when the bytes of _memory_need
@@ -147,7 +160,7 @@ def _check_memory(scenario: ScenarioConfig | ScenarioTemplate, policies, runs: i
     n, k, horizon = scenario.n_processes, scenario.n_devices, scenario.horizon
     if {"fu_limited", "fu_feedback"} & set(policies):
         _check_capacity(n)
-    need, chunk = _memory_need(scenario, policies, runs)
+    need, chunk = _memory_need(scenario, policies, runs, workers)
     setting = f"runs = {runs} with horizon = {horizon}" if runs else f"horizon = {horizon}"
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -167,8 +180,9 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
     grant rows, reusing a state's grant row whenever no tie lets ages change
     it. Before each fu_feedback step, belief.prefetch_evidence is offered the
     rest of the chunk and fills the config's evidence memo a block ahead
-    whenever the slot's evidence is not stored; a reset keeps the memo.
-    Each chunk is then scored in one fold.
+    whenever the slot's evidence is not stored; a reset keeps the memo, and
+    the pass empties it when it ends, so every tracker pass starts from an
+    empty memo. Each chunk is then scored in one fold.
     """
     k, l, horizon = config.n_devices, config.n_slots, config.horizon
     acc = MetricsAccumulator(n_devices=k, n_slots=l)
@@ -229,6 +243,8 @@ def _run_policy(policy, config, states, activity, ra_rng, mode, chunk) -> dict[s
         series["aoi_avg"][rows] = average_age(ages)
         series["aoi_peak"][rows] = peak_age(ages)
         del ages  # freed before the next chunk's grants and fold
+    if belief is not None:  # the next pass, or run, starts from an empty memo
+        config.cached("belief.evidence_memo", OrderedDict).clear()
     return series
 
 
@@ -276,6 +292,96 @@ def run_episode(
     return EpisodeResult(policies=policies, series=series, trajectory_fingerprint=fingerprint)
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
+    the way perfbench/run.py looks up the getter, or None when not found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _workers(runs: int) -> int:
+    """Processes that share the runs: one per usable CPU, at most one per
+    run. 1 when there is one run or one usable CPU, without os.fork or
+    os.sched_getaffinity, while other threads run (a fork copies the locks
+    they hold), or when the OpenBLAS thread setter is not found."""
+    if runs == 1 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1 or _openblas_threads() is None:
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
+def _fill(kept, scenario, policies, master_seed, belief_mode, first, step) -> None:
+    """Run runs first, first + step, ... into kept[:, :, r]; run r's
+    scenario draw and episode use only the streams keyed by (master_seed, r)."""
+    for r in range(first, kept.shape[2], step):
+        config = scenario
+        if isinstance(scenario, ScenarioTemplate):
+            config = scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
+        rng = rng_stream(master_seed, r, "episode")
+        series = run_episode(config, policies, rng, belief_mode=belief_mode).series
+        for p, slabs in zip(policies, kept):
+            slabs[:, r] = [series[p][s] for s in SERIES]
+        del series  # only kept[:, :, r] outlives the run
+
+
+def _fork_fill(shape, workers: int, *task) -> np.ndarray:
+    """The kept array of `shape`, filled by _fill(kept, *task, w, workers)
+    for w in range(workers), each in its own process, into one array over
+    an anonymous MAP_SHARED mapping (unmapped with the last view of it).
+
+    The parent forks workers - 1 children and runs share 0 itself, with
+    numpy's OpenBLAS held to one thread throughout (two BLAS threads per
+    worker would spin against the other workers), then restores the count.
+    A child leaves through os._exit, never running the parent's cleanup; if
+    its share raises, it prints the traceback to stderr and exits 1, and the
+    parent raises RuntimeError once every child is reaped. If the parent's
+    own share raises, the children are killed and reaped first.
+    """
+    import mmap  # only the forked path needs these
+    import signal
+
+    kept = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    get, put = _openblas_threads()
+    threads, pids = get(), []
+    put(1)
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    _fill(kept, *task, w, workers)
+                    status = 0
+                except Exception:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        _fill(kept, *task, 0, workers)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        put(threads)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    failed = [code for code in codes if code]
+    if failed:
+        raise RuntimeError(
+            f"{len(failed)} of {len(pids)} Monte-Carlo worker processes failed"
+            f" (exit status {failed[0]}); their tracebacks are on stderr"
+        )
+    return kept
+
+
 def run_monte_carlo(
     scenario: ScenarioConfig | ScenarioTemplate,
     runs: int,
@@ -290,31 +396,35 @@ def run_monte_carlo(
     A ScenarioTemplate is resampled per run (fresh transition and activation
     probabilities each time) unless fixed_scenario is set, in which case one
     instance is drawn up front; a concrete ScenarioConfig is inherently
-    fixed. Run r always uses the streams keyed by (master_seed, r), so the
-    aggregate is byte-identical regardless of how the loop is executed.
-    Before any allocation, raises ConfigurationError naming N when a tracker
-    cannot hold it, or naming runs, horizon, N and K when the whole run
-    would not fit in memory (see `_check_memory`).
+    fixed. Run r always uses the streams keyed by (master_seed, r), and each
+    tracker pass starts from an empty evidence memo, so the aggregate is
+    byte-identical however the runs are spread. With POSIX fork, W workers,
+    one per usable CPU and at most one per run (see `_workers`), each run
+    every W-th run into one shared array (see `_fork_fill`); otherwise all
+    runs run in this process. A worker's log records go to the handlers it
+    inherited, in its own process: a reset warning still reaches stderr,
+    but no handler that keeps records in this process's memory. Before any
+    allocation, raises ConfigurationError naming N when a tracker cannot
+    hold it, or naming runs, horizon, N and K when the whole run would not
+    fit in memory (see `_check_memory`).
     """
     policies = _normalize_request(policies, belief_mode)
     runs = check_int("runs", runs, 1)
     master_seed = check_int("seed", master_seed, 0, MAX_SEED)
-    _check_memory(scenario, policies, runs)
     horizon = scenario.horizon
+    workers = _workers(runs) if horizon else 1  # an empty mapping is refused
+    _check_memory(scenario, policies, runs, workers)
 
     if fixed_scenario and isinstance(scenario, ScenarioTemplate):
         scenario = scenario.sample(rng_stream(master_seed, 0, "scenario"), seed=master_seed)
 
-    kept = np.empty((len(policies), len(SERIES), runs, horizon))
-    for r in range(runs):
-        config = scenario
-        if isinstance(scenario, ScenarioTemplate):
-            config = scenario.sample(rng_stream(master_seed, r, "scenario"), seed=master_seed)
-        rng = rng_stream(master_seed, r, "episode")
-        series = run_episode(config, policies, rng, belief_mode=belief_mode).series
-        for p, slabs in zip(policies, kept):
-            slabs[:, r] = [series[p][s] for s in SERIES]
-        del series  # only kept[:, :, r] outlives the run
+    shape = (len(policies), len(SERIES), runs, horizon)
+    task = (scenario, policies, master_seed, belief_mode)
+    if workers == 1:
+        kept = np.empty(shape)
+        _fill(kept, *task, 0, 1)
+    else:
+        kept = _fork_fill(shape, workers, *task)
 
     mean, std = {}, {}
     for p, slabs in zip(policies, kept):  # (runs, horizon) views; std per slab stays small

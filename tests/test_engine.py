@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import logging
+import os
 import re
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -16,6 +18,7 @@ from test_properties import MAX_EXAMPLES, edge_scenarios
 import fugrant.belief as belief_mod
 import fugrant.engine as engine_mod
 from fugrant.belief import (
+    FORECAST_MODES,
     CapacityError,
     EvidenceContradictionError,
     device_forecast,
@@ -703,3 +706,137 @@ class TestRunMonteCarlo:
         assert not np.array_equal(
             a.mean["fu_limited"]["regret_cum"], b.mean["fu_limited"]["regret_cum"]
         )
+
+
+def assert_same_aggregate(a, b):
+    assert (a.runs, a.horizon, a.policies) == (b.runs, b.horizon, b.policies)
+    for p in a.policies:
+        for s in SERIES:
+            assert a.mean[p][s].tobytes() == b.mean[p][s].tobytes(), (p, s)
+            assert a.std[p][s].tobytes() == b.std[p][s].tobytes(), (p, s)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or engine_mod._openblas_threads() is None,
+    reason="forked workers need os.fork and numpy's bundled OpenBLAS",
+)
+class TestWorkers:
+    TEMPLATE = ScenarioTemplate(n_processes=3, n_devices=6, n_slots=2, horizon=12)
+
+    @staticmethod
+    def aggregate(monkeypatch, workers, *args, **kwargs):
+        monkeypatch.setattr(engine_mod, "_workers", lambda runs: workers)
+        return run_monte_carlo(*args, **kwargs)
+
+    @pytest.mark.parametrize("mode", FORECAST_MODES)
+    @pytest.mark.parametrize("kind", ["template", "config", "fixed_scenario"])
+    def test_any_worker_count_gives_the_same_bits(self, kind, mode, monkeypatch):
+        for horizon in (12, 0):
+            tpl = dataclasses.replace(self.TEMPLATE, horizon=horizon)
+            scenario = tpl.sample(rng_stream(5, 0, "scenario")) if kind == "config" else tpl
+            for runs in range(1, 6):
+                serial, *spread = (
+                    self.aggregate(
+                        monkeypatch, workers, scenario, runs, 4, POLICIES,
+                        fixed_scenario=kind == "fixed_scenario", belief_mode=mode,
+                    )
+                    for workers in (1, 2, 3)
+                )
+                for result in spread:
+                    assert_same_aggregate(serial, result)
+        assert_no_child_left()
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert [engine_mod._workers(runs) for runs in (1, 3, 20)] == [1, 3, 8]
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert engine_mod._workers(20) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "_openblas_threads", lambda: None)
+            assert engine_mod._workers(20) == 1
+        for name in ("fork", "sched_getaffinity"):
+            with monkeypatch.context() as patch:
+                patch.delattr(os, name)
+                assert engine_mod._workers(20) == 1
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(10,))
+        other.start()
+        try:
+            assert engine_mod._workers(20) == 1
+        finally:
+            stop.set()
+            other.join(10)
+        assert not other.is_alive()
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failed_share_leaves_no_child(self, where, monkeypatch, capfd):
+        parent, real = os.getpid(), engine_mod.run_episode
+
+        def failing(config, policies, rng, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"the {where}'s share failed")
+            return real(config, policies, rng, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_episode", failing)
+        raised = RuntimeError if where == "child" else ValueError
+        with pytest.raises(raised, match="worker processes failed" if where == "child" else where):
+            self.aggregate(monkeypatch, 3, self.TEMPLATE, 4, 0, ["ra"])
+        assert_no_child_left()
+        if where == "child":  # each child printed its own traceback
+            assert capfd.readouterr().err.count("ValueError: the child's share failed") == 2
+
+    def test_blas_threads_are_held_to_one_and_restored(self, monkeypatch):
+        get, put = engine_mod._openblas_threads()
+        before, seen, real = get(), [], engine_mod.run_episode
+
+        def counted(config, policies, rng, **kwargs):
+            seen.append(get())
+            if len(seen) == 3:
+                raise ValueError("the parent's share failed")
+            return real(config, policies, rng, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_episode", counted)
+        put(2)
+        try:
+            self.aggregate(monkeypatch, 2, self.TEMPLATE, 4, 0, ["ra"])
+            assert seen == [1, 1] and get() == 2
+            with pytest.raises(ValueError, match="parent"):
+                self.aggregate(monkeypatch, 2, self.TEMPLATE, 6, 0, ["ra"])
+            assert seen == [1, 1, 1] and get() == 2
+        finally:
+            put(before)
+        assert_no_child_left()
+
+    def test_every_worker_counts_one_episode(self, monkeypatch):
+        # W workers hold W episodes E beside the one shared array of every
+        # run's series S: W * E + (runs + 2) * S bytes at the peak
+        def needed_bytes(runs, workers):
+            monkeypatch.setattr("os.sysconf", lambda name: 1)
+            with pytest.raises(ConfigurationError, match=f"runs = {runs}") as info:
+                self.aggregate(monkeypatch, workers, self.TEMPLATE, runs, 0, POLICIES)
+            return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+        series = len(POLICIES) * len(SERIES) * 8 * self.TEMPLATE.horizon
+        episode = needed_bytes(1, 1) - 3 * series
+        assert needed_bytes(5, 3) == 3 * episode + 7 * series
+
+    def test_every_tracker_pass_starts_from_an_empty_memo(self, monkeypatch):
+        # a fixed config's memo is emptied as each pass ends, so every run's
+        # trackers start alike, whichever process runs them
+        cfg = small_config(horizon=30)
+        sizes, real = [], engine_mod.init_belief
+
+        def counted(config):
+            sizes.append(len(config.cached("belief.evidence_memo", OrderedDict)))
+            return real(config)
+
+        monkeypatch.setattr(engine_mod, "init_belief", counted)
+        self.aggregate(monkeypatch, 1, cfg, 2, 0, ["fu_limited", "fu_feedback"])
+        assert sizes == [0, 0, 0, 0]
+        assert not cfg.cached("belief.evidence_memo", OrderedDict)
